@@ -16,14 +16,11 @@
 //	dlearn-bench -exp table4 -json ""   # disable the JSON summary
 //
 // Experiments: table3, table4, table5, table6, table7, fig1left, fig1mid,
-// fig1right, coverage, scale, all. The coverage experiment is a
-// micro-benchmark of the candidate-evaluation pipeline; its
-// BENCH_coverage.json records the throughput numbers tracked across engine
-// versions, including the literal planner's win rate and node saving versus
-// fixed-order search (plan_* fields). The scale experiment reruns that
-// workload at 1x/10x(/100x) tuple multipliers and writes BENCH_scale.json
-// with the data layer's growth curve (prepare seconds, resident bytes,
-// snapshot bytes, cover tests/s at each scale).
+// fig1right, scale, all. The scale experiment runs one coverage workload at
+// 1x/10x(/100x) tuple multipliers and writes BENCH_scale.json with the data
+// layer's growth curve (prepare seconds, resident bytes, snapshot bytes,
+// cover tests/s at each scale). End-to-end and per-layer performance of the
+// engine is measured by the repository benchmark in perfbench/ instead.
 package main
 
 import (
@@ -42,16 +39,14 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment to run: table3|table4|table5|table6|table7|fig1left|fig1mid|fig1right|coverage|scale|all")
+		exp     = flag.String("exp", "all", "experiment to run: table3|table4|table5|table6|table7|fig1left|fig1mid|fig1right|scale|all")
 		quick   = flag.Bool("quick", false, "shrink datasets and sweeps for a fast smoke run")
 		seed    = flag.Int64("seed", 1, "random seed for data generation and splits")
 		threads = flag.Int("threads", 16, "parallel coverage-testing workers")
 		folds   = flag.Int("folds", 0, "cross-validation folds (default: 5, or 2 with -quick)")
 		jsonDir = flag.String("json", ".", "directory for BENCH_<exp>.json timing summaries (empty disables)")
-		snapDir = flag.String("snapshot-dir", "", "snapshot directory for the coverage experiment's warm-start measurement (empty uses a throwaway temp dir)")
-		snapMax = flag.Int64("snapshot-max-bytes", 0, "size cap on the snapshot store; least-recently-used snapshots are swept until it fits (0 = unbounded)")
 		candPar = flag.Int("candidate-parallelism", 0, "outer-tier workers of the two-tier coverage scheduler (0 = default)")
-		planner = flag.Bool("literal-planner", true, "order θ-subsumption search literals by per-probe selectivity (the coverage experiment always measures both orders)")
+		planner = flag.Bool("literal-planner", true, "order θ-subsumption search literals by per-probe selectivity")
 	)
 	flag.Parse()
 
@@ -67,8 +62,6 @@ func main() {
 	if *folds > 0 {
 		opts.Folds = *folds
 	}
-	opts.SnapshotDir = *snapDir
-	opts.SnapshotMaxBytes = *snapMax
 	opts.CandidateParallelism = *candPar
 	opts.DisableLiteralPlanner = !*planner
 	opts.Out = os.Stdout
@@ -86,29 +79,14 @@ func main() {
 			return err
 		},
 	}
-	order := []string{"table3", "table4", "table5", "table6", "table7", "fig1left", "fig1mid", "fig1right", "coverage", "scale"}
+	order := []string{"table3", "table4", "table5", "table6", "table7", "fig1left", "fig1mid", "fig1right", "scale"}
 
 	// runOne executes one experiment with a fresh timing collector and, when
 	// enabled, writes its BENCH_<name>.json summary next to the tables. The
-	// coverage micro-benchmark produces its own summary shape instead of the
+	// scale experiment produces its own summary shape instead of the
 	// observer-event aggregate.
 	runOne := func(name string) error {
 		o := opts
-		if name == "coverage" {
-			summary, err := bench.RunCoverage(ctx, o)
-			if err != nil {
-				return err
-			}
-			if *jsonDir == "" {
-				return nil
-			}
-			path := filepath.Join(*jsonDir, "BENCH_coverage.json")
-			if err := bench.WriteCoverageJSON(path, summary); err != nil {
-				return fmt.Errorf("writing %s: %w", path, err)
-			}
-			fmt.Printf("wrote %s\n", path)
-			return nil
-		}
 		if name == "scale" {
 			summary, err := bench.RunScale(ctx, o)
 			if err != nil {

@@ -46,22 +46,9 @@ type Options struct {
 	// coverage scheduler (candidates in flight at once); zero selects
 	// coverage.DefaultCandidateParallelism.
 	CandidateParallelism int
-	// SnapshotDir is where the coverage micro-benchmark persists prepared
-	// examples to measure cold vs warm starts. Empty means a throwaway
-	// temporary directory. The benchmark always measures the cold prepare
-	// (and rewrites the snapshot) so its numbers stay comparable across
-	// runs; a persistent directory only keeps the resulting snapshot
-	// around, e.g. for warm-starting dlearn-learn.
-	SnapshotDir string
-	// SnapshotMaxBytes caps the snapshot store: after the coverage
-	// experiment's write-back, least-recently-used snapshots are swept until
-	// the store fits, and the post-sweep occupancy is reported in
-	// BENCH_coverage.json. Zero means unbounded.
-	SnapshotMaxBytes int64
 	// DisableLiteralPlanner turns off the θ-subsumption literal planner for
-	// every fit the experiments perform — the A/B switch behind the plan_*
-	// fields of BENCH_coverage.json. The coverage experiment additionally runs
-	// its own planner-on/planner-off differential regardless of this setting.
+	// every fit the experiments perform, the A/B switch for comparing
+	// planned and fixed-order search on the same experiment.
 	DisableLiteralPlanner bool
 }
 

@@ -16,13 +16,12 @@ import (
 )
 
 // ScalePoint is the measurement of the data layer at one tuple-count
-// multiplier: the same candidate-evaluation workload as the coverage
-// micro-benchmark, run against a dataset whose entity loop is multiplied by
-// Scale, so the points compare how preparation, memory, snapshot size and
-// scoring throughput grow with the instance.
+// multiplier: the same candidate-evaluation workload at every point, run
+// against a dataset whose entity loop is multiplied by Scale, so the points
+// compare how preparation, memory, snapshot size and scoring throughput grow
+// with the instance.
 type ScalePoint struct {
-	// Scale is the tuple-count multiplier (1 = the coverage benchmark's base
-	// dataset).
+	// Scale is the tuple-count multiplier (1 = the base dataset).
 	Scale int `json:"scale"`
 	// Tuples and DistinctValues size the generated instance: total tuples
 	// across relations and distinct interned values.
@@ -43,7 +42,7 @@ type ScalePoint struct {
 	// (persist.EncodeExampleSet) at this scale.
 	SnapshotBytes int `json:"snapshot_bytes"`
 	// CoverTestsPerSecond is full-scoring throughput over the prepared
-	// examples, as in the coverage benchmark.
+	// examples.
 	CoverTestsPerSecond float64 `json:"cover_tests_per_second"`
 	// LearnSeconds is the wall-clock time of a budget-clamped covering run
 	// over the same example subset; LearnClauses is its definition size.
@@ -64,6 +63,15 @@ type ScaleSummary struct {
 	Points []ScalePoint `json:"points"`
 }
 
+// coverageScale returns the per-point workload size: candidates, positives,
+// negatives, rounds.
+func (o Options) coverageScale() (int, int, int, int) {
+	if o.Quick {
+		return 4, 10, 16, 2
+	}
+	return 8, 40, 60, 3
+}
+
 // scaleMultipliers returns the tuple-count multipliers to measure: quick runs
 // stop at 10x so the smoke job stays fast; full runs add the 100x point.
 func (o Options) scaleMultipliers() []int {
@@ -74,8 +82,8 @@ func (o Options) scaleMultipliers() []int {
 }
 
 // RunScale benchmarks the interned columnar data layer as the instance grows:
-// the coverage benchmark's workload (IMDB+OMDB with three MDs and CFD
-// violations, fixed example counts) is repeated at 1x/10x(/100x) tuple
+// one coverage workload (IMDB+OMDB with three MDs and CFD violations, fixed
+// example counts, bottom-clause candidates) is repeated at 1x/10x(/100x) tuple
 // multipliers, recording preparation time, resident memory, snapshot size and
 // full-scoring throughput at each point.
 func RunScale(ctx context.Context, o Options) (ScaleSummary, error) {
@@ -187,9 +195,8 @@ func RunScale(ctx context.Context, o Options) (ScaleSummary, error) {
 		tests := float64(rounds) * float64(len(cands)) * float64(len(posEx)+len(negEx))
 
 		// A budget-clamped covering run over the same subset: the end-to-end
-		// cost a learner pays at this scale. Unlike the coverage benchmark's
-		// covering pass, the subsumption node budget is clamped in full mode
-		// too — identical budgets at every multiplier are what make the
+		// cost a learner pays at this scale. The subsumption node budget is
+		// clamped in full mode too: identical budgets at every multiplier are what make the
 		// learn_seconds column a scaling curve rather than a search-luck draw,
 		// and an unbounded search at 100x data would swamp the benchmark.
 		learnCfg := lcfg

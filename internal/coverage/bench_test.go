@@ -116,7 +116,7 @@ func benchExamples(tb testing.TB, nMovies, nPos, nNeg int) (*bottomclause.Builde
 
 // BenchmarkScoreClauseExamples is the regression benchmark for the hot path
 // of the covering search: scoring a set of candidate clauses over prepared
-// examples. Its throughput is tracked in BENCH_coverage.json.
+// examples.
 func BenchmarkScoreClauseExamples(b *testing.B) {
 	_, posG, negG := benchExamples(b, 120, 16, 16)
 	cands := benchCandidates()
@@ -140,9 +140,9 @@ func BenchmarkScoreClauseExamples(b *testing.B) {
 
 // BenchmarkSubsumesPrepared measures repeated θ-subsumption of candidate
 // clauses against one prepared ground bottom clause — the innermost loop of
-// every coverage test — in its two modes: recompiling the candidate per
-// probe (one-shot tests) and probing through a reusable CompiledCandidate
-// (batch scoring).
+// every coverage test — in its two modes: compiling the candidate per probe
+// (one-shot tests) and probing through a reusable CompiledCandidate (batch
+// scoring).
 func BenchmarkSubsumesPrepared(b *testing.B) {
 	e := NewEvaluator(Options{Threads: 1})
 	_, posG, _ := benchExamples(b, 60, 4, 1)
@@ -152,7 +152,7 @@ func BenchmarkSubsumesPrepared(b *testing.B) {
 	b.Run("recompile", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, c := range cands {
-				prep.SubsumesContext(ctx, c)
+				subsumption.CompileCandidate(c).Probe(ctx, prep, subsumption.ProbeOptions{})
 			}
 		}
 	})
@@ -164,7 +164,7 @@ func BenchmarkSubsumesPrepared(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, cc := range compiled {
-				cc.Subsumes(ctx, prep)
+				cc.Probe(ctx, prep, subsumption.ProbeOptions{})
 			}
 		}
 	})

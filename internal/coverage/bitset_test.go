@@ -3,6 +3,7 @@ package coverage
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dlearn/internal/logic"
@@ -134,9 +135,9 @@ func TestCloneIsIndependent(t *testing.T) {
 	}
 }
 
-// TestCoverageBitsMatchesCoveredExamples checks the bitmap against the
-// index-slice API it replaces in the learner: same clause, same examples,
-// same coverage.
+// TestCoverageBitsMatchesCoveredExamples checks the batch bitmap against
+// the one-shot test it parallelizes: same clause, same examples, same
+// coverage, bit for bit.
 func TestCoverageBitsMatchesCoveredExamples(t *testing.T) {
 	_, posG, _ := benchExamples(t, 40, 6, 1)
 	ctx := context.Background()
@@ -144,18 +145,17 @@ func TestCoverageBitsMatchesCoveredExamples(t *testing.T) {
 	posEx := mustExamples(t, e, posG)
 	for ci, c := range append(benchCandidates(), westernCandidate()) {
 		bits := e.CoverageBits(ctx, c, posEx)
-		want := e.CoveredPositiveExamples(ctx, c, posEx)
-		got := bits.Indices()
-		if len(got) != len(want) {
-			t.Fatalf("candidate %d: CoverageBits = %v, CoveredPositiveExamples = %v", ci, got, want)
-		}
-		for k := range want {
-			if got[k] != want[k] {
-				t.Fatalf("candidate %d: CoverageBits = %v, CoveredPositiveExamples = %v", ci, got, want)
+		var want []int
+		for i, ex := range posEx {
+			if e.CoversPositiveExample(ctx, c, ex) {
+				want = append(want, i)
 			}
 		}
-		if bits.Count() != e.CountPositiveExamples(ctx, c, posEx) {
-			t.Fatalf("candidate %d: bitmap count disagrees with CountPositiveExamples", ci)
+		if got := bits.Indices(); !slices.Equal(got, want) {
+			t.Fatalf("candidate %d: CoverageBits = %v, one-shot tests = %v", ci, got, want)
+		}
+		if bits.Count() != len(want) {
+			t.Fatalf("candidate %d: bitmap count %d, want %d", ci, bits.Count(), len(want))
 		}
 	}
 }

@@ -39,6 +39,13 @@ func mustExamples(tb testing.TB, e *Evaluator, grounds []logic.Clause) []*Exampl
 	return exs
 }
 
+// scoreBatch scores one candidate through the candidate scheduler, which
+// runs it as a single floor-bounded batch (see scoreBatchDynamic).
+func scoreBatch(ctx context.Context, e *Evaluator, c logic.Clause, pos, neg []*Example, floor int) (Score, bool) {
+	r := e.ScoreCandidates(ctx, []logic.Clause{c}, pos, neg, floor, 1)[0]
+	return r.Score, r.Exact
+}
+
 func TestWorkerPoolHonorsCancellation(t *testing.T) {
 	e := NewEvaluator(Options{Threads: 4})
 	grounds := make([]logic.Clause, 32)
@@ -47,7 +54,7 @@ func TestWorkerPoolHonorsCancellation(t *testing.T) {
 	}
 	exs := mustExamples(t, e, grounds)
 
-	if got := e.CountPositiveExamples(context.Background(), simpleClause(), exs); got != len(exs) {
+	if got := e.CoverageBits(context.Background(), simpleClause(), exs).Count(); got != len(exs) {
 		t.Fatalf("uncancelled count = %d, want %d", got, len(exs))
 	}
 
@@ -55,13 +62,13 @@ func TestWorkerPoolHonorsCancellation(t *testing.T) {
 	cancel()
 	// A cancelled batch must drain without scoring: every worker skips its
 	// items, so nothing is counted.
-	if got := e.CountPositiveExamples(ctx, simpleClause(), exs); got != 0 {
+	if got := e.CoverageBits(ctx, simpleClause(), exs).Count(); got != 0 {
 		t.Errorf("cancelled count = %d, want 0", got)
 	}
 	if got := e.CountNegativeExamples(ctx, simpleClause(), exs); got != 0 {
 		t.Errorf("cancelled negative count = %d, want 0", got)
 	}
-	if got := e.CoveredPositiveExamples(ctx, simpleClause(), exs); len(got) != 0 {
+	if got := e.CoverageBits(ctx, simpleClause(), exs).Indices(); len(got) != 0 {
 		t.Errorf("cancelled covered-set = %v, want empty", got)
 	}
 }

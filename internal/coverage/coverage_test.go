@@ -1,6 +1,7 @@
 package coverage
 
 import (
+	"context"
 	"testing"
 
 	"dlearn/internal/bottomclause"
@@ -74,6 +75,20 @@ func dramaClause() logic.Clause {
 
 func eval() *Evaluator { return NewEvaluator(Options{Threads: 2}) }
 
+// coversPositive runs the positive coverage test of c against a freshly
+// prepared example for the ground bottom clause g.
+func coversPositive(e *Evaluator, c, g logic.Clause) bool {
+	ctx := context.Background()
+	return e.CoversPositiveExample(ctx, c, e.NewExample(ctx, g))
+}
+
+// coversNegative runs the negative coverage test of c against a freshly
+// prepared example for the ground bottom clause g.
+func coversNegative(e *Evaluator, c, g logic.Clause) bool {
+	ctx := context.Background()
+	return e.CountNegativeExamples(ctx, c, []*Example{e.NewExample(ctx, g)}) == 1
+}
+
 func TestCoversPositiveMDOnly(t *testing.T) {
 	b := builderFor(false)
 	e := eval()
@@ -85,13 +100,13 @@ func TestCoversPositiveMDOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !e.CoversPositive(comedyClause(), gSuperbad) {
+	if !coversPositive(e, comedyClause(), gSuperbad) {
 		t.Error("comedy clause should cover the Superbad example via the MD match")
 	}
-	if e.CoversPositive(comedyClause(), gOrphanage) {
+	if coversPositive(e, comedyClause(), gOrphanage) {
 		t.Error("comedy clause should not cover the drama movie Orphanage")
 	}
-	if !e.CoversPositive(dramaClause(), gOrphanage) {
+	if !coversPositive(e, dramaClause(), gOrphanage) {
 		t.Error("drama clause should cover the Orphanage example")
 	}
 }
@@ -109,11 +124,11 @@ func TestCoversPositiveWithCFDRepairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !e.CoversPositive(c, g) {
+	if !coversPositive(e, c, g) {
 		t.Error("bottom clause with CFD repair literals should cover its own example")
 	}
 	// A plain comedy clause (no CFD literals) still covers it.
-	if !e.CoversPositive(comedyClause(), g) {
+	if !coversPositive(e, comedyClause(), g) {
 		t.Error("comedy clause should cover the Superbad example with CFD-annotated ground clause")
 	}
 }
@@ -131,10 +146,10 @@ func TestCoversNegative(t *testing.T) {
 	}
 	// Zoolander is a comedy, so the comedy clause covers it as a negative
 	// example (some repair supports it); Orphanage is not.
-	if !e.CoversNegative(comedyClause(), gZoolander) {
+	if !coversNegative(e, comedyClause(), gZoolander) {
 		t.Error("comedy clause should cover the Zoolander negative example")
 	}
-	if e.CoversNegative(comedyClause(), gOrphanage) {
+	if coversNegative(e, comedyClause(), gOrphanage) {
 		t.Error("comedy clause should not cover the Orphanage negative example")
 	}
 }
@@ -183,18 +198,21 @@ func TestScoreAndCounts(t *testing.T) {
 	}
 	neg = append(neg, gOrphanage)
 
-	score := e.ScoreClause(comedyClause(), pos, neg)
+	ctx := context.Background()
+	posEx := mustExamples(t, e, pos)
+	negEx := mustExamples(t, e, neg)
+	score := e.ScoreClauseExamples(ctx, comedyClause(), posEx, negEx)
 	if score.PositivesCovered != 2 || score.NegativesCovered != 0 {
 		t.Errorf("score = %+v, want 2 positives and 0 negatives", score)
 	}
 	if score.Value() != 2 {
 		t.Errorf("score value = %d", score.Value())
 	}
-	covered := e.CoveredPositives(comedyClause(), pos)
+	covered := e.CoverageBits(ctx, comedyClause(), posEx).Indices()
 	if len(covered) != 2 {
-		t.Errorf("CoveredPositives = %v", covered)
+		t.Errorf("covered positives = %v", covered)
 	}
-	if e.CountNegatives(dramaClause(), neg) != 1 {
+	if e.CountNegativeExamples(ctx, dramaClause(), negEx) != 1 {
 		t.Error("drama clause should cover the Orphanage negative example")
 	}
 }
@@ -212,14 +230,14 @@ func TestDefinitionCovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !e.DefinitionCovers(def, gSuperbad) {
+	if !e.DefinitionCoversContext(context.Background(), def, gSuperbad) {
 		t.Error("definition should cover Superbad")
 	}
-	if e.DefinitionCovers(def, gOrphanage) {
+	if e.DefinitionCoversContext(context.Background(), def, gOrphanage) {
 		t.Error("definition should not cover Orphanage")
 	}
 	def.Add(dramaClause(), logic.ClauseStats{})
-	if !e.DefinitionCovers(def, gOrphanage) {
+	if !e.DefinitionCoversContext(context.Background(), def, gOrphanage) {
 		t.Error("after adding the drama clause the definition should cover Orphanage")
 	}
 }
@@ -235,7 +253,8 @@ func TestEvaluatorThreadsDefault(t *testing.T) {
 
 func TestEmptyGroundSets(t *testing.T) {
 	e := eval()
-	if e.CountPositives(comedyClause(), nil) != 0 || e.CountNegatives(comedyClause(), nil) != 0 {
-		t.Fatal("empty ground sets must count zero")
+	ctx := context.Background()
+	if e.CoverageBits(ctx, comedyClause(), nil).Count() != 0 || e.CountNegativeExamples(ctx, comedyClause(), nil) != 0 {
+		t.Fatal("empty example sets must count zero")
 	}
 }

@@ -2,6 +2,7 @@ package coverage
 
 import (
 	"context"
+	"sync"
 	"sync/atomic"
 
 	"dlearn/internal/logic"
@@ -11,24 +12,32 @@ import (
 
 // Example is a training or test example prepared for repeated coverage
 // testing: its ground bottom clause with the subsumed side precompiled, its
-// CFD-only repair expansion (Section 4.3), its full repaired-clause
-// expansion (used for negative coverage, Definition 3.6), and the MD-only
-// projection G_md^e. Preparing an example once and probing it with thousands
-// of candidate clauses is what makes the covering search practical.
+// CFD side — the MD-only projection G_md^e and the CFD-only repair
+// expansion (Section 4.3) — and its full repaired-clause expansion (used for
+// negative coverage, Definition 3.6). Preparing an example once and probing
+// it with thousands of candidate clauses is what makes the covering search
+// practical.
 type Example struct {
 	// Ground is the ground bottom clause of the example.
 	Ground logic.Clause
 
 	hasCFD   bool
 	prep     *subsumption.Prepared
+	repaired []*subsumption.Prepared
+
+	// The CFD side is prepared at most once, on first need (see cfdSide):
+	// NewExample and RestoreExample settle it up front, while the examples
+	// prediction builds defer it until a probe gets past the plain
+	// θ-subsumption test, which most probes never do.
+	ev       *Evaluator
+	cfdOnce  sync.Once
 	stripped *subsumption.Prepared
 	cfdExp   []*subsumption.Prepared
-	repaired []*subsumption.Prepared
 
 	// heat counts the bound-closing events this example produced across the
 	// batches that scored it: misses when used as a positive, covers when
-	// used as a negative. ScoreBatch schedules the hottest examples first so
-	// the early-exit bound closes as soon as possible (see adaptiveOrder).
+	// used as a negative. Batch scoring schedules the hottest examples first
+	// so the early-exit bound closes as soon as possible (see adaptiveOrder).
 	// Maintained atomically by the evaluator's workers.
 	heat atomic.Int64
 }
@@ -36,19 +45,37 @@ type Example struct {
 // Heat returns the example's accumulated bound-closing event count.
 func (ex *Example) Heat() int64 { return ex.heat.Load() }
 
-// NewExample prepares a ground bottom clause for repeated coverage tests.
-func (e *Evaluator) NewExample(ctx context.Context, ground logic.Clause) *Example {
-	ex := &Example{
+// cfdSide returns the example's prepared CFD side, preparing it on the first
+// call. Preparation is not retried: an example whose CFD side was prepared
+// under a cancelled context keeps the truncated expansion and, like a
+// NewExamples batch abandoned by cancellation, must not be reused.
+func (ex *Example) cfdSide(ctx context.Context) (*subsumption.Prepared, []*subsumption.Prepared) {
+	ex.cfdOnce.Do(func() {
+		e := ex.ev
+		ex.stripped = e.checker.Prepare(StripCFDConnected(ex.Ground))
+		for _, c := range repair.RepairedClausesContext(ctx, ex.Ground, e.cfdOptions()) {
+			ex.cfdExp = append(ex.cfdExp, e.checker.Prepare(c))
+		}
+	})
+	return ex.stripped, ex.cfdExp
+}
+
+// lazyExample prepares a ground bottom clause for positive coverage tests
+// only: the subsumed side up front, the CFD side on first need, and no full
+// repair expansion (prediction never tests negative coverage).
+func (e *Evaluator) lazyExample(ground logic.Clause) *Example {
+	return &Example{
 		Ground: ground,
 		hasCFD: clauseHasCFDRepairs(ground),
 		prep:   e.checker.Prepare(ground),
+		ev:     e,
 	}
-	ex.stripped = e.checker.Prepare(StripCFDConnected(ground))
-	cfdOpts := e.repOpts
-	cfdOpts.Origin = logic.OriginCFD
-	for _, c := range repair.RepairedClausesContext(ctx, ground, cfdOpts) {
-		ex.cfdExp = append(ex.cfdExp, e.checker.Prepare(c))
-	}
+}
+
+// NewExample prepares a ground bottom clause for repeated coverage tests.
+func (e *Evaluator) NewExample(ctx context.Context, ground logic.Clause) *Example {
+	ex := e.lazyExample(ground)
+	ex.cfdSide(ctx)
 	for _, c := range repair.RepairedClausesContext(ctx, ground, e.repOpts) {
 		ex.repaired = append(ex.repaired, e.checker.Prepare(c))
 	}
@@ -80,80 +107,54 @@ func (e *Evaluator) NewExamples(ctx context.Context, grounds []logic.Clause) ([]
 			if empty == nil {
 				empty = e.checker.Prepare(logic.Clause{})
 			}
-			out[i] = &Example{Ground: grounds[i], prep: empty, stripped: empty}
+			stub := &Example{Ground: grounds[i], prep: empty, stripped: empty}
+			stub.cfdOnce.Do(func() {})
+			out[i] = stub
 		}
 	}
 	return out, ctx.Err()
 }
 
-// CoversPositiveExample is CoversPositive against a prepared example. For
-// one-shot tests the candidate is compiled directly; batch APIs resolve a
-// shared probe once and reuse its compilation across examples and workers.
+// CoversPositiveExample reports whether clause c covers the prepared
+// positive example under Definition 3.4, following Section 4.3 (see
+// probe.coversPositive). For one-shot tests the candidate is compiled
+// directly; batch APIs resolve a shared probe once and reuse its compilation
+// across examples and workers.
 func (e *Evaluator) CoversPositiveExample(ctx context.Context, c logic.Clause, ex *Example) bool {
 	return e.newProbe(c, false).coversPositive(ctx, ex)
 }
 
-// CoversNegativeExample is CoversNegative against a prepared example.
-func (e *Evaluator) CoversNegativeExample(ctx context.Context, c logic.Clause, ex *Example) bool {
-	return e.newProbe(c, false).coversNegative(ctx, ex)
-}
-
-// CountPositiveExamples counts the prepared examples covered as positives,
-// in parallel.
-func (e *Evaluator) CountPositiveExamples(ctx context.Context, c logic.Clause, exs []*Example) int {
-	p := e.newProbe(c, true)
-	return e.countParallelExamples(ctx, exs, func(ex *Example) bool { return p.coversPositive(ctx, ex) })
-}
-
-// CountNegativeExamples counts the prepared examples covered as negatives,
-// in parallel.
+// CountNegativeExamples counts the prepared examples that clause c covers
+// as negatives under Definition 3.6, in parallel.
 func (e *Evaluator) CountNegativeExamples(ctx context.Context, c logic.Clause, exs []*Example) int {
 	p := e.newProbe(c, true)
-	return e.countParallelExamples(ctx, exs, func(ex *Example) bool { return p.coversNegative(ctx, ex) })
+	return bitsFromMask(e.maskParallelExamples(ctx, exs, func(ex *Example) bool { return p.coversNegative(ctx, ex) })).Count()
 }
 
-// ScoreClauseExamples computes a clause's score over prepared examples.
+// ScoreClauseExamples computes a clause's exact score over prepared
+// examples.
 func (e *Evaluator) ScoreClauseExamples(ctx context.Context, c logic.Clause, pos, neg []*Example) Score {
 	return Score{
-		PositivesCovered: e.CountPositiveExamples(ctx, c, pos),
+		PositivesCovered: e.CoverageBits(ctx, c, pos).Count(),
 		NegativesCovered: e.CountNegativeExamples(ctx, c, neg),
 	}
 }
 
-// CoveredPositiveExamples returns the indices of the prepared positive
-// examples covered by the clause.
-func (e *Evaluator) CoveredPositiveExamples(ctx context.Context, c logic.Clause, exs []*Example) []int {
-	p := e.newProbe(c, true)
-	mask := e.maskParallelExamples(ctx, exs, func(ex *Example) bool { return p.coversPositive(ctx, ex) })
-	var out []int
-	for i, b := range mask {
-		if b {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// DefinitionCoversExample reports whether any clause of the definition
-// covers the prepared example.
-func (e *Evaluator) DefinitionCoversExample(ctx context.Context, d *logic.Definition, ex *Example) bool {
+// DefinitionCoversContext reports whether any clause of the definition
+// covers the (positive-style) example with ground bottom clause ge. It is
+// the prediction rule used when evaluating a learned definition on test
+// data, and runs the same prepared-example test as learning: ge is prepared
+// once for every clause of the definition, its CFD side only if some probe
+// needs it. A cancelled test conservatively reports no coverage (callers
+// check ctx.Err()).
+func (e *Evaluator) DefinitionCoversContext(ctx context.Context, d *logic.Definition, ge logic.Clause) bool {
+	ex := e.lazyExample(ge)
 	for _, c := range d.Clauses {
 		if e.CoversPositiveExample(ctx, c, ex) {
 			return true
 		}
 	}
 	return false
-}
-
-func (e *Evaluator) countParallelExamples(ctx context.Context, exs []*Example, pred func(*Example) bool) int {
-	mask := e.maskParallelExamples(ctx, exs, pred)
-	n := 0
-	for _, b := range mask {
-		if b {
-			n++
-		}
-	}
-	return n
 }
 
 func (e *Evaluator) maskParallelExamples(ctx context.Context, exs []*Example, pred func(*Example) bool) []bool {

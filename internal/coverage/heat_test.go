@@ -5,75 +5,81 @@ import (
 	"testing"
 )
 
-// TestHeatDecayBoundsCounters pins the heat-decay satellite: with decay
-// disabled the hit counters grow monotonically with every batch (the
-// pre-decay behavior), while a decaying evaluator halves them periodically
-// so they track recent batches instead of the whole process history.
+// TestHeatDecayBoundsCounters pins the heat decay: until the decay period
+// the hit counters grow with every batch, and every heatDecayInterval-th
+// batch halves them, so they track recent batches instead of the whole
+// process history and stay bounded however long the process runs.
 func TestHeatDecayBoundsCounters(t *testing.T) {
 	ctx := context.Background()
 	_, posG, negG := benchExamples(t, 40, 4, 4)
-	const rounds = 10
-
-	// Disabled decay: the western candidate misses every positive in every
-	// batch, so heat is exactly the batch count.
-	e := NewEvaluator(Options{Threads: 1, HeatDecayInterval: -1})
+	e := NewEvaluator(Options{Threads: 1})
 	posEx := mustExamples(t, e, posG)
 	negEx := mustExamples(t, e, negG)
-	for r := 0; r < rounds; r++ {
-		e.ScoreBatch(ctx, westernCandidate(), posEx, negEx, -1<<30)
-	}
-	for i, ex := range posEx {
-		if ex.Heat() != rounds {
-			t.Errorf("decay disabled: positive %d heat = %d, want %d", i, ex.Heat(), rounds)
-		}
-	}
 
-	// Decay every batch: each round adds one miss and then halves, so the
-	// counter can never exceed one — the long-lived process stays responsive
-	// to recent behavior instead of accumulating forever.
-	e = NewEvaluator(Options{Threads: 1, HeatDecayInterval: 1})
-	posEx = mustExamples(t, e, posG)
-	negEx = mustExamples(t, e, negG)
-	for r := 0; r < rounds; r++ {
-		e.ScoreBatch(ctx, westernCandidate(), posEx, negEx, -1<<30)
-	}
-	for i, ex := range posEx {
-		if ex.Heat() > 1 {
-			t.Errorf("decay interval 1: positive %d heat = %d, want <= 1", i, ex.Heat())
+	// The western candidate misses every positive in every batch, so before
+	// the first decay heat is exactly the batch count; at batch 64 it
+	// reaches 64 and is halved to 32, and at batch 128 it is (32+64)/2.
+	want := int64(0)
+	for r := 1; r <= 3*heatDecayInterval; r++ {
+		scoreBatch(ctx, e, westernCandidate(), posEx, negEx, -1<<30)
+		want++
+		if r%heatDecayInterval == 0 {
+			want /= 2
+		}
+		for i, ex := range posEx {
+			if ex.Heat() != want {
+				t.Fatalf("batch %d: positive %d heat = %d, want %d", r, i, ex.Heat(), want)
+			}
+			if ex.Heat() >= 2*heatDecayInterval {
+				t.Fatalf("batch %d: positive %d heat %d escaped the decay bound", r, i, ex.Heat())
+			}
 		}
 	}
 }
 
-// TestHeatDecayDefaultInterval checks the zero value selects the default
-// period rather than disabling decay.
+// TestHeatDecayDefaultInterval checks the decay period: a batch count one
+// short of it leaves the counters untouched, and the next batch halves them.
 func TestHeatDecayDefaultInterval(t *testing.T) {
-	e := NewEvaluator(Options{})
-	if e.heatDecay != DefaultHeatDecayInterval {
-		t.Fatalf("heatDecay = %d, want default %d", e.heatDecay, DefaultHeatDecayInterval)
+	ctx := context.Background()
+	_, posG, negG := benchExamples(t, 40, 2, 2)
+	e := NewEvaluator(Options{Threads: 1})
+	posEx := mustExamples(t, e, posG)
+	negEx := mustExamples(t, e, negG)
+	for r := 1; r < heatDecayInterval; r++ {
+		scoreBatch(ctx, e, westernCandidate(), posEx, negEx, -1<<30)
 	}
-	if NewEvaluator(Options{HeatDecayInterval: -1}).heatDecay != -1 {
-		t.Fatal("negative interval must disable decay, not reset to default")
+	if got := posEx[0].Heat(); got != heatDecayInterval-1 {
+		t.Fatalf("heat after %d batches = %d, want %d (no decay yet)", heatDecayInterval-1, got, heatDecayInterval-1)
+	}
+	scoreBatch(ctx, e, westernCandidate(), posEx, negEx, -1<<30)
+	if got := posEx[0].Heat(); got != heatDecayInterval/2 {
+		t.Fatalf("heat after %d batches = %d, want %d (halved)", heatDecayInterval, got, heatDecayInterval/2)
 	}
 }
 
 // TestHeatDecayKeepsScoresExact verifies decay is a scheduling-only
-// mechanism: scores from a decaying evaluator match the non-decaying one.
+// mechanism: across several decay periods, every score from an evaluator
+// whose examples carry (decaying) heat matches the score over examples that
+// were never heated.
 func TestHeatDecayKeepsScoresExact(t *testing.T) {
 	ctx := context.Background()
 	_, posG, negG := benchExamples(t, 40, 6, 6)
-	cands := benchCandidates()
-	plain := NewEvaluator(Options{Threads: 2, HeatDecayInterval: -1})
-	decaying := NewEvaluator(Options{Threads: 2, HeatDecayInterval: 1})
-	posA := mustExamples(t, plain, posG)
-	negA := mustExamples(t, plain, negG)
-	posB := mustExamples(t, decaying, posG)
-	negB := mustExamples(t, decaying, negG)
-	for r := 0; r < 3; r++ {
-		for _, c := range cands {
-			sa, ea := plain.ScoreBatch(ctx, c, posA, negA, -1<<30)
-			sb, eb := decaying.ScoreBatch(ctx, c, posB, negB, -1<<30)
-			if !ea || !eb || sa != sb {
-				t.Fatalf("round %d: decay changed scoring: (%+v,%v) vs (%+v,%v)", r, sa, ea, sb, eb)
+	cands := append(benchCandidates(), westernCandidate())
+	ref := NewEvaluator(Options{Threads: 2})
+	refPos := mustExamples(t, ref, posG)
+	refNeg := mustExamples(t, ref, negG)
+	want := make([]Score, len(cands))
+	for i, c := range cands {
+		want[i] = ref.ScoreClauseExamples(ctx, c, refPos, refNeg)
+	}
+
+	e := NewEvaluator(Options{Threads: 2})
+	posEx := mustExamples(t, e, posG)
+	negEx := mustExamples(t, e, negG)
+	for r := 0; r < 2*heatDecayInterval/len(cands)+1; r++ {
+		for i, c := range cands {
+			if s, exact := scoreBatch(ctx, e, c, posEx, negEx, -1<<30); !exact || s != want[i] {
+				t.Fatalf("round %d candidate %d: heated batch (%+v,%v), cold score %+v", r, i, s, exact, want[i])
 			}
 		}
 	}

@@ -22,7 +22,8 @@ type CandidateResult struct {
 	// Score is the candidate's coverage score; a partial tally when Exact is
 	// false.
 	Score Score
-	// Exact reports whether the batch ran to completion (see ScoreBatch).
+	// Exact reports whether the batch ran to completion (see
+	// scoreBatchDynamic).
 	Exact bool
 }
 
@@ -33,9 +34,9 @@ const incomplete = math.MinInt64
 // ScoreCandidates scores the independent candidate clauses of one refinement
 // sample concurrently — the outer tier of the two-tier scheduler. Each
 // candidate's batch still runs on the evaluator's inner worker pool
-// (ScoreBatch), and candidates share the incumbent floor through an atomic
-// value table: a candidate early-exits against the best exact score already
-// known for a LOWER-indexed candidate.
+// (scoreBatchDynamic), and candidates share the incumbent floor through an
+// atomic value table: a candidate early-exits against the best exact score
+// already known for a LOWER-indexed candidate.
 //
 // Restricting the shared floor to lower indices is what makes the result
 // independent of scheduling: the serial hill-climb keeps candidate i only if

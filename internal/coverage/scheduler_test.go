@@ -37,7 +37,7 @@ func TestScoreCandidatesDeterministicAcrossParallelism(t *testing.T) {
 		refIdx, refScore, refOK := -1, Score{}, false
 		refFloor := floor
 		for i, c := range cands {
-			s, exact := e.ScoreBatch(ctx, c, posEx, negEx, refFloor)
+			s, exact := scoreBatch(ctx, e, c, posEx, negEx, refFloor)
 			if exact && s.Value() > refFloor {
 				refIdx, refScore, refOK = i, s, true
 				refFloor = s.Value()
@@ -79,7 +79,7 @@ func TestScoreCandidatesSharedFloorStress(t *testing.T) {
 	floor := -1 << 30
 	refFloor := floor
 	for i, c := range cands {
-		s, exact := e.ScoreBatch(ctx, c, posEx, negEx, refFloor)
+		s, exact := scoreBatch(ctx, e, c, posEx, negEx, refFloor)
 		if exact && s.Value() > refFloor {
 			refIdx, refScore, refOK = i, s, true
 			refFloor = s.Value()
@@ -101,7 +101,7 @@ func TestScoreCandidatesSharedFloorStress(t *testing.T) {
 				case 2:
 					// Heat churn: reorder adaptive scheduling under the
 					// other workers' feet.
-					e.ScoreBatch(ctx, cands[(w+it)%len(cands)], posEx, negEx, refScore.Value())
+					scoreBatch(ctx, e, cands[(w+it)%len(cands)], posEx, negEx, refScore.Value())
 				default:
 					par := 1 + (w+it)%4
 					results := e.ScoreCandidates(ctx, cands, posEx, negEx, floor, par)
@@ -117,7 +117,7 @@ func TestScoreCandidatesSharedFloorStress(t *testing.T) {
 	wg.Wait()
 }
 
-// TestAdaptiveOrderPrefersHotExamples checks the ScoreBatch scheduling
+// TestAdaptiveOrderPrefersHotExamples checks the batch scheduling
 // heuristic directly: after batches in which some examples closed the bound,
 // those examples move to the front of the processing order.
 func TestAdaptiveOrderPrefersHotExamples(t *testing.T) {
@@ -160,7 +160,7 @@ func TestScoreBatchHeatAccumulates(t *testing.T) {
 
 	// The western candidate covers nothing: every positive misses (all heat
 	// up) and no negative covers (no heat).
-	if _, exact := e.ScoreBatch(ctx, westernCandidate(), posEx, negEx, -1<<30); !exact {
+	if _, exact := scoreBatch(ctx, e, westernCandidate(), posEx, negEx, -1<<30); !exact {
 		t.Fatal("unfloored batch must be exact")
 	}
 	for i, ex := range posEx {
@@ -178,8 +178,7 @@ func TestScoreBatchHeatAccumulates(t *testing.T) {
 // BenchmarkScoreCandidates is the small-example-pool benchmark: the pool is
 // far smaller than a 16-thread inner pool, so serial candidate scoring
 // leaves most workers idle; the two-tier scheduler overlaps candidates and
-// must beat it. Tracked via candidate_parallel_speedup in
-// BENCH_coverage.json.
+// must beat it.
 func BenchmarkScoreCandidates(b *testing.B) {
 	_, posG, negG := benchExamples(b, 120, 6, 6)
 	cands := benchCandidates()

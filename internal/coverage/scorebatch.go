@@ -8,16 +8,20 @@ import (
 	"dlearn/internal/logic"
 )
 
-// ScoreBatch scores one candidate clause over prepared positive and negative
-// examples on the evaluator's worker pool, stopping early once the score can
-// no longer exceed the caller-supplied floor. The bound is
+// scoreBatchDynamic scores one candidate clause over prepared positive and
+// negative examples on the evaluator's worker pool, stopping early once the
+// score can no longer exceed the floor. The bound is
 //
 //	PositivesCovered + positives-still-pending - NegativesCovered,
 //
 // which only shrinks as positives miss and negatives hit; as soon as it drops
 // to the floor the candidate provably cannot beat the incumbent and the rest
-// of the batch is skipped. The candidate is compiled once before the workers
-// start and shared (read-only) by all of them.
+// of the batch is skipped. floorFn is re-read at every bound check, so a
+// batch whose candidate is overtaken mid-flight (the candidate scheduler
+// raises the shared floor when a lower-indexed candidate completes) exits
+// early instead of finishing against the stale floor it started with;
+// floorFn must be monotone non-decreasing. The candidate is compiled once
+// before the workers start and shared (read-only) by all of them.
 //
 // Examples are scheduled adaptively: within each tier (positives first,
 // then negatives) the batch processes the examples with the highest heat —
@@ -31,22 +35,11 @@ import (
 //
 // The boolean result reports whether the batch was scored exactly: true means
 // every example was evaluated and the Score is the same value
-// ScoreClauseExamples would return; false means the batch stopped early
-// (bound proven ≤ floor, or the context was cancelled) and the Score is a
-// partial tally whose exact fields depend on scheduling. Selection loops that
-// only keep candidates strictly above the floor can therefore discard
-// non-exact results without losing determinism.
-func (e *Evaluator) ScoreBatch(ctx context.Context, c logic.Clause, pos, neg []*Example, floor int) (Score, bool) {
-	return e.scoreBatchDynamic(ctx, c, pos, neg, func() int { return floor })
-}
-
-// scoreBatchDynamic is ScoreBatch against a floor that may rise while the
-// batch runs: floorFn is re-read at every bound check, so a batch whose
-// candidate is overtaken mid-flight (the candidate scheduler raises the
-// shared floor when a lower-indexed candidate completes) exits early instead
-// of finishing against the stale floor it started with. floorFn must be
-// monotone non-decreasing; exactness semantics are unchanged because an
-// exact result means every example was evaluated, independent of any floor.
+// ScoreClauseExamples would return, independent of any floor; false means
+// the batch stopped early (bound proven ≤ floor, or the context was
+// cancelled) and the Score is a partial tally whose exact fields depend on
+// scheduling. Selection loops that only keep candidates strictly above the
+// floor can therefore discard non-exact results without losing determinism.
 func (e *Evaluator) scoreBatchDynamic(ctx context.Context, c logic.Clause, pos, neg []*Example, floorFn func() int) (Score, bool) {
 	nPos, nNeg := len(pos), len(neg)
 	if nPos <= floorFn() {
@@ -103,9 +96,9 @@ func (e *Evaluator) scoreBatchDynamic(ctx context.Context, c logic.Clause, pos, 
 	return score, exact
 }
 
-// decayHeat ages the adaptive-ordering heat counters: every heatDecay-th
-// completed batch halves the heat of the examples that batch scored. Without
-// decay the counters are monotone, so an example that was hot a million
+// decayHeat ages the adaptive-ordering heat counters: every
+// heatDecayInterval-th completed batch halves the heat of the examples that
+// batch scored. Without decay the counters are monotone, so an example that was hot a million
 // batches ago outranks one that is hot now — exactly wrong for a long-lived
 // process (a dlearn-serve worker) whose candidate stream drifts. Halving the
 // just-scored examples suffices: an example no batch touches anymore cannot
@@ -114,10 +107,7 @@ func (e *Evaluator) scoreBatchDynamic(ctx context.Context, c logic.Clause, pos, 
 // write halving (concurrent batches may add between the load and the store)
 // costs at most a lost increment, never correctness.
 func (e *Evaluator) decayHeat(pos, neg []*Example) {
-	if e.heatDecay <= 0 {
-		return
-	}
-	if e.batches.Add(1)%int64(e.heatDecay) != 0 {
+	if e.batches.Add(1)%heatDecayInterval != 0 {
 		return
 	}
 	for _, ex := range pos {
@@ -167,21 +157,4 @@ func adaptiveOrder(pos, neg []*Example) []int {
 		byHeatDesc(order[len(pos):])
 	}
 	return order
-}
-
-// ScoreBatchGrounds is ScoreBatch over raw ground bottom clauses, preparing
-// them first. It exists for callers that have not prepared examples; inside
-// the learner the prepared-example form is always used. A preparation
-// abandoned by cancellation reports a non-exact zero score, the same
-// conservative answer a cancelled ScoreBatch produces.
-func (e *Evaluator) ScoreBatchGrounds(ctx context.Context, c logic.Clause, pos, neg []logic.Clause, floor int) (Score, bool) {
-	posEx, err := e.NewExamples(ctx, pos)
-	if err != nil {
-		return Score{}, false
-	}
-	negEx, err := e.NewExamples(ctx, neg)
-	if err != nil {
-		return Score{}, false
-	}
-	return e.ScoreBatch(ctx, c, posEx, negEx, floor)
 }

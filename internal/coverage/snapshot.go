@@ -15,12 +15,13 @@ import (
 // preprocessing entirely, which is what turns a ~30s cold start into a
 // sub-second warm one.
 func (ex *Example) Snapshot() persist.ExampleSnapshot {
+	stripped, cfdExp := ex.cfdSide(context.Background())
 	s := persist.ExampleSnapshot{
 		Ground:   ex.Ground,
 		Prep:     ex.prep.Snapshot(),
-		Stripped: ex.stripped.Snapshot(),
+		Stripped: stripped.Snapshot(),
 	}
-	for _, p := range ex.cfdExp {
+	for _, p := range cfdExp {
 		s.CFDExp = append(s.CFDExp, p.Snapshot())
 	}
 	for _, p := range ex.repaired {
@@ -35,14 +36,16 @@ func (ex *Example) Snapshot() persist.ExampleSnapshot {
 // it is skipped.
 func (e *Evaluator) RestoreExample(s persist.ExampleSnapshot) *Example {
 	ex := &Example{
-		Ground:   s.Ground,
-		hasCFD:   clauseHasCFDRepairs(s.Ground),
-		prep:     subsumption.RestorePrepared(s.Prep),
-		stripped: subsumption.RestorePrepared(s.Stripped),
+		Ground: s.Ground,
+		hasCFD: clauseHasCFDRepairs(s.Ground),
+		prep:   subsumption.RestorePrepared(s.Prep),
 	}
-	for _, p := range s.CFDExp {
-		ex.cfdExp = append(ex.cfdExp, subsumption.RestorePrepared(p))
-	}
+	ex.cfdOnce.Do(func() {
+		ex.stripped = subsumption.RestorePrepared(s.Stripped)
+		for _, p := range s.CFDExp {
+			ex.cfdExp = append(ex.cfdExp, subsumption.RestorePrepared(p))
+		}
+	})
 	for _, p := range s.Repaired {
 		ex.repaired = append(ex.repaired, subsumption.RestorePrepared(p))
 	}

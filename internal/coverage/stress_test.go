@@ -65,16 +65,16 @@ func TestEvaluatorConcurrentStress(t *testing.T) {
 					switch (w + it + ci) % 4 {
 					case 0:
 						// Unfloored batch: always exact and deterministic.
-						s, exact := e.ScoreBatch(ctx, c, posEx, negEx, noFloor)
+						s, exact := scoreBatch(ctx, e, c, posEx, negEx, noFloor)
 						if !exact {
-							t.Errorf("unfloored ScoreBatch reported non-exact for candidate %d", ci)
+							t.Errorf("unfloored batch reported non-exact for candidate %d", ci)
 						} else if s != want[ci] {
 							t.Errorf("candidate %d: concurrent score %+v, serial %+v", ci, s, want[ci])
 						}
 					case 1:
 						// Floor at the candidate's own value: the batch may
 						// early-exit, but an exact result must still match.
-						s, exact := e.ScoreBatch(ctx, c, posEx, negEx, want[ci].Value())
+						s, exact := scoreBatch(ctx, e, c, posEx, negEx, want[ci].Value())
 						if exact && s != want[ci] {
 							t.Errorf("candidate %d: floored exact score %+v, serial %+v", ci, s, want[ci])
 						}
@@ -83,14 +83,14 @@ func TestEvaluatorConcurrentStress(t *testing.T) {
 						// caches, probed immediately.
 						ex := e.NewExample(ctx, posG[(w+it)%len(posG)])
 						e.CoversPositiveExample(ctx, c, ex)
-						e.CoversNegativeExample(ctx, c, ex)
+						e.CountNegativeExamples(ctx, c, []*Example{ex})
 					default:
 						// Cancelled batches must stay conservative (non-exact)
 						// and must not poison the caches for other workers.
 						cctx, cancel := context.WithCancel(ctx)
 						cancel()
-						if _, exact := e.ScoreBatch(cctx, c, posEx, negEx, noFloor); exact {
-							t.Errorf("cancelled ScoreBatch reported an exact score")
+						if _, exact := scoreBatch(cctx, e, c, posEx, negEx, noFloor); exact {
+							t.Errorf("cancelled batch reported an exact score")
 						}
 					}
 				}
@@ -121,19 +121,19 @@ func TestScoreBatchEarlyExit(t *testing.T) {
 	earlyExits := 0
 	for ci, c := range cands {
 		full := e.ScoreClauseExamples(ctx, c, posEx, negEx)
-		if s, exact := e.ScoreBatch(ctx, c, posEx, negEx, -1<<30); !exact || s != full {
+		if s, exact := scoreBatch(ctx, e, c, posEx, negEx, -1<<30); !exact || s != full {
 			t.Errorf("candidate %d: unfloored batch %+v (exact=%v), want %+v", ci, s, exact, full)
 		}
 		// A floor of len(pos) can never be exceeded: the batch must refuse
 		// without scoring anything.
-		if s, exact := e.ScoreBatch(ctx, c, posEx, negEx, len(posEx)); exact || s != (Score{}) {
+		if s, exact := scoreBatch(ctx, e, c, posEx, negEx, len(posEx)); exact || s != (Score{}) {
 			t.Errorf("candidate %d: impossible floor scored %+v (exact=%v)", ci, s, exact)
 		}
 		if full.Value() < len(posEx) {
 			// Flooring at the candidate's own value closes the bound; unless
 			// the closing test happens to be the batch's final item this is
 			// an early exit. An exact result must still match the full score.
-			s, exact := e.ScoreBatch(ctx, c, posEx, negEx, full.Value())
+			s, exact := scoreBatch(ctx, e, c, posEx, negEx, full.Value())
 			if exact && s != full {
 				t.Errorf("candidate %d: floored exact score %+v, want %+v", ci, s, full)
 			}

@@ -1,6 +1,7 @@
 package generalize
 
 import (
+	"context"
 	"testing"
 
 	"dlearn/internal/bottomclause"
@@ -11,8 +12,9 @@ import (
 	"dlearn/internal/subsumption"
 )
 
-// paperDB is the movie database of Table 2 with a BOM-style target.
-func paperDB() (*bottomclause.Builder, *coverage.Evaluator) {
+// paperDB is the movie database of Table 2 with a BOM-style target, plus
+// the Section 4.3 positive coverage test over it.
+func paperDB() (*bottomclause.Builder, CoverFunc) {
 	s := relation.NewSchema()
 	s.MustAdd(relation.NewRelation("movies",
 		relation.Attr("id", "imdb_id"), relation.Attr("title", "imdb_title"), relation.Attr("year", "year")))
@@ -40,16 +42,30 @@ func paperDB() (*bottomclause.Builder, *coverage.Evaluator) {
 	cfg.SampleSize = 20
 	cfg.UseCFDs = false
 	b := bottomclause.NewBuilder(in, target, []constraints.MD{md}, nil, cfg)
-	ev := coverage.NewEvaluator(coverage.Options{Threads: 1})
-	return b, ev
+	return b, positiveCover(coverage.NewEvaluator(coverage.Options{Threads: 1}))
+}
+
+// positiveCover adapts the evaluator's prepared-example positive coverage
+// test to a CoverFunc, preparing each ground bottom clause once.
+func positiveCover(ev *coverage.Evaluator) CoverFunc {
+	ctx := context.Background()
+	prepared := make(map[string]*coverage.Example)
+	return func(c, ground logic.Clause) bool {
+		ex, ok := prepared[ground.Key()]
+		if !ok {
+			ex = ev.NewExample(ctx, ground)
+			prepared[ground.Key()] = ex
+		}
+		return ev.CoversPositiveExample(ctx, c, ex)
+	}
 }
 
 func TestGeneralizeExample47(t *testing.T) {
 	// Example 4.7: generalizing the Superbad bottom clause to cover
 	// Zoolander drops the August release-date literal (Zoolander was
 	// released in September), while the comedy literal survives.
-	b, ev := paperDB()
-	g := New(ev.CoversPositive)
+	b, covers := paperDB()
+	g := New(covers)
 
 	bottom, err := b.BottomClause(relation.NewTuple("highGrossing", "Superbad"))
 	if err != nil {
@@ -63,7 +79,7 @@ func TestGeneralizeExample47(t *testing.T) {
 	if !ok {
 		t.Fatalf("generalization failed: %v", out)
 	}
-	if !ev.CoversPositive(out, gz) {
+	if !covers(out, gz) {
 		t.Fatal("generalized clause does not cover the new example")
 	}
 	var hasAugust, hasComedy bool
@@ -89,7 +105,7 @@ func TestGeneralizeExample47(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ev.CoversPositive(out, gs) {
+	if !covers(out, gs) {
 		t.Error("generalized clause no longer covers the seed example")
 	}
 }
@@ -97,8 +113,8 @@ func TestGeneralizeExample47(t *testing.T) {
 func TestGeneralizeProducesSubsumingClause(t *testing.T) {
 	// The generalization must θ-subsume the original clause (it is obtained
 	// by dropping literals), giving the soundness direction of Prop. 4.8.
-	b, ev := paperDB()
-	g := New(ev.CoversPositive)
+	b, covers := paperDB()
+	g := New(covers)
 	ch := subsumption.New(subsumption.Options{})
 
 	bottom, err := b.BottomClause(relation.NewTuple("highGrossing", "Superbad"))
@@ -125,8 +141,8 @@ func TestGeneralizeUncoverableExample(t *testing.T) {
 	// An example whose title matches nothing cannot be covered; the
 	// generalizer reports failure and leaves the clause intact when even
 	// the head cannot cover, or returns the maximally generalized clause.
-	b, ev := paperDB()
-	g := New(ev.CoversPositive)
+	b, covers := paperDB()
+	g := New(covers)
 	bottom, err := b.BottomClause(relation.NewTuple("highGrossing", "Superbad"))
 	if err != nil {
 		t.Fatal(err)
@@ -146,14 +162,14 @@ func TestGeneralizeUncoverableExample(t *testing.T) {
 	if !ok {
 		t.Fatal("generalizing toward an empty ground clause should succeed (empty body covers it)")
 	}
-	if !ev.CoversPositive(out, gUnknown) {
+	if !covers(out, gUnknown) {
 		t.Error("result does not cover the new example")
 	}
 }
 
 func TestGeneralizeAll(t *testing.T) {
-	b, ev := paperDB()
-	g := New(ev.CoversPositive)
+	b, covers := paperDB()
+	g := New(covers)
 	bottom, err := b.BottomClause(relation.NewTuple("highGrossing", "Superbad"))
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +187,7 @@ func TestGeneralizeAll(t *testing.T) {
 		t.Fatalf("expected 2 candidates, got %d", len(cands))
 	}
 	for i, c := range cands {
-		if !ev.CoversPositive(c, grounds[i]) {
+		if !covers(c, grounds[i]) {
 			t.Errorf("candidate %d does not cover its example", i)
 		}
 	}
@@ -179,8 +195,8 @@ func TestGeneralizeAll(t *testing.T) {
 
 func TestGeneralizeAlreadyCovering(t *testing.T) {
 	// A clause that already covers the example is returned unchanged.
-	b, ev := paperDB()
-	g := New(ev.CoversPositive)
+	b, covers := paperDB()
+	g := New(covers)
 	c := logic.NewClause(
 		logic.Rel("highGrossing", logic.Var("x")),
 	)

@@ -58,6 +58,10 @@ type Job struct {
 	// running in memory (best effort) but would not survive a restart the way
 	// a fully journalled job does.
 	degraded bool
+	// finishing marks a terminal transition that has been claimed but not
+	// yet published (see Server.finish): the state still reads non-terminal
+	// while the terminal journal record is written.
+	finishing bool
 	// changed is closed and replaced whenever events or state change;
 	// stream readers wait on it instead of polling.
 	changed chan struct{}
@@ -109,7 +113,7 @@ func (j *Job) appendEvent(name string, data []byte) {
 func (j *Job) start() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != wire.StateQueued {
+	if j.state != wire.StateQueued || j.finishing {
 		return false
 	}
 	j.state = wire.StateRunning
@@ -118,56 +122,95 @@ func (j *Job) start() bool {
 	return true
 }
 
-// complete records a successful run: the terminal "result" event and the
-// done state land atomically, so a stream reader that sees the terminal
-// state has the full event log. It reports whether this call performed the
-// transition: a job that is already terminal (cancelled during shutdown,
-// failed by a panic recovery) is left untouched, so two racing terminators
-// can never both append a terminal event or both bump an outcome counter.
-func (j *Job) complete(res wire.Result) bool {
+// outcome is a job's terminal state with its result or error and the
+// terminal stream event announcing it.
+type outcome struct {
+	state  string
+	errMsg string
+	result *wire.Result
+	event  streamEvent
+}
+
+// success is the outcome of a completed run: state done with its terminal
+// "result" event. A result that cannot be encoded fails the job instead.
+func success(res wire.Result) outcome {
 	data, err := json.Marshal(res)
 	if err != nil {
-		return j.fail(wire.StateFailed, "encoding result: "+err.Error())
+		return failure(wire.StateFailed, "encoding result: "+err.Error())
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if terminal(j.state) {
-		return false
-	}
-	j.state = wire.StateDone
-	j.finished = time.Now()
-	j.result = &res
-	j.events = append(j.events, streamEvent{name: wire.EventResult, data: data})
-	j.signal()
-	return true
+	return outcome{state: wire.StateDone, result: &res, event: streamEvent{name: wire.EventResult, data: data}}
 }
 
-// fail records a failed or cancelled run with its terminal "error" event.
-// Like complete, it reports whether this call performed the transition and
-// no-ops on an already-terminal job.
-func (j *Job) fail(state, msg string) bool {
+// failure is the outcome of a failed or cancelled run with its terminal
+// "error" event.
+func failure(state, msg string) outcome {
 	data, _ := json.Marshal(wire.JobError{State: state, Error: msg})
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.failLocked(state, msg, data)
+	return outcome{state: state, errMsg: msg, event: streamEvent{name: wire.EventError, data: data}}
 }
 
-func (j *Job) failLocked(state, msg string, data []byte) bool {
-	if terminal(j.state) {
+// claim reserves the job's terminal transition for the caller when the job
+// is in state from and no other terminal transition is under way. Exactly
+// one of any set of racing terminators (a worker finishing, a panic
+// recovery, a client cancelling a queued job against a worker's start) wins
+// the claim; the others no-op, so no job gets two terminal events or two
+// outcome counts.
+func (j *Job) claim(from string) bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.state != from || j.finishing {
 		return false
 	}
-	j.state = state
-	j.finished = time.Now()
-	j.errMsg = msg
-	j.events = append(j.events, streamEvent{name: wire.EventError, data: data})
-	j.signal()
+	j.finishing = true
 	return true
+}
+
+// terminalRecord is the journal record of the job as it will read once the
+// outcome is published: terminal state, timestamps, result or error, and
+// the event log ending in the terminal event.
+func (j *Job) terminalRecord(o outcome, finished time.Time, resultKey string) journalRecord {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	events := make([]journalEvent, 0, len(j.events)+1)
+	for _, ev := range j.events {
+		events = append(events, journalEvent{Name: ev.name, Data: ev.data})
+	}
+	events = append(events, journalEvent{Name: o.event.name, Data: o.event.data})
+	return journalRecord{
+		ID:          j.ID,
+		Tenant:      j.Tenant,
+		State:       o.state,
+		SubmittedAt: j.submitted,
+		StartedAt:   j.started,
+		FinishedAt:  finished,
+		Problem:     j.wireProblem,
+		Error:       o.errMsg,
+		Result:      o.result,
+		ResultKey:   resultKey,
+		Events:      events,
+		Degraded:    j.degraded,
+	}
+}
+
+// publish makes a claimed terminal transition visible: the terminal event
+// and state land atomically, so a stream reader that sees the terminal
+// state has the full event log.
+func (j *Job) publish(o outcome, finished time.Time) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.state = o.state
+	j.finished = finished
+	j.errMsg = o.errMsg
+	j.result = o.result
+	j.events = append(j.events, o.event)
+	j.finishing = false
+	j.signal()
 }
 
 // degrade marks the job's persistence as best-effort after a failed write,
 // appending a persistence_degraded event to the stream while the job is
-// still live (a post-terminal degradation only flips the flag — the stream
-// has already delivered its terminal event). It reports whether the job was
+// still live — including a claimed terminal transition whose journal write
+// failed, so the event precedes the terminal one (a post-terminal
+// degradation would only flip the flag). It reports whether the job was
 // newly degraded, so callers can count degraded jobs exactly once.
 func (j *Job) degrade(component, detail string) bool {
 	data, err := observe.MarshalEvent(observe.PersistenceDegraded{Component: component, Detail: detail})
@@ -181,20 +224,6 @@ func (j *Job) degrade(component, detail string) bool {
 		j.events = append(j.events, streamEvent{name: observe.TypePersistenceDegraded, data: data})
 		j.signal()
 	}
-	return true
-}
-
-// cancelQueued atomically moves a still-queued job to cancelled, so the
-// transition can never race a worker's start(): exactly one of the two wins.
-// It reports whether this call performed the transition.
-func (j *Job) cancelQueued(msg string) bool {
-	data, _ := json.Marshal(wire.JobError{State: wire.StateCancelled, Error: msg})
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != wire.StateQueued {
-		return false
-	}
-	j.failLocked(wire.StateCancelled, msg, data)
 	return true
 }
 
@@ -259,18 +288,6 @@ func recoverJob(base context.Context, rec journalRecord, p *dlearn.Problem, time
 		}
 	}
 	return j
-}
-
-// journalView snapshots the fields the job journal persists at a terminal
-// transition, under the job lock.
-func (j *Job) journalView() (state string, started, finished time.Time, errMsg string, result *wire.Result, events []journalEvent, degraded bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	events = make([]journalEvent, len(j.events))
-	for i, ev := range j.events {
-		events[i] = journalEvent{Name: ev.name, Data: ev.data}
-	}
-	return j.state, j.started, j.finished, j.errMsg, j.result, events, j.degraded
 }
 
 // Status snapshots the job for GET /v1/jobs/{id}.

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"dlearn"
+	"dlearn/internal/observe"
 	"dlearn/internal/persist"
 	"dlearn/internal/server/wire"
 )
@@ -415,5 +416,37 @@ func TestResultCacheDisabled(t *testing.T) {
 	}
 	if st := s.Stats(); st.ResultCacheHits != 0 || st.ResultCacheEntries != 0 {
 		t.Errorf("disabled cache still served hits: %+v", st)
+	}
+}
+
+// TestTerminalJournalFailureDegradesBeforePublishing pins durable-then-
+// publish for a failed terminal journal write: by the time a client holds
+// the result, the failure is counted and the job flagged degraded, and the
+// stream's last event before the result is persistence_degraded.
+func TestTerminalJournalFailureDegradesBeforePublishing(t *testing.T) {
+	s, client := newTestServer(t, Config{
+		MaxConcurrent: 1,
+		JobDir:        t.TempDir(),
+		Faults:        chaosSchedule(t, "journal.finish:hit=1:error=disk full", 1),
+	})
+	if _, err := client.Learn(context.Background(), serveProblem(t), serveOptions(), nil); err != nil {
+		t.Fatalf("job failed on a terminal journal write fault: %v", err)
+	}
+	if st := s.Stats(); st.JournalWriteFailures != 1 || st.DegradedJobs != 1 {
+		t.Errorf("stats when the result arrived = %d journal write failures / %d degraded, want 1/1",
+			st.JournalWriteFailures, st.DegradedJobs)
+	}
+	j, _ := s.Job(findOnlyJobID(t, s))
+	if !j.Status().Degraded {
+		t.Error("job status not flagged degraded")
+	}
+	evs, done, _ := j.eventsFrom(0)
+	n := len(evs)
+	if !done || n < 2 || evs[n-1].name != wire.EventResult || evs[n-2].name != observe.TypePersistenceDegraded {
+		var names []string
+		for _, ev := range evs {
+			names = append(names, ev.name)
+		}
+		t.Errorf("stream (done=%v) = %v, want persistence_degraded then result at the end", done, names)
 	}
 }

@@ -302,11 +302,9 @@ func (s *Server) recover(recs []journalRecord) []*Job {
 			// versions, or a hand-edited file): surface it as a failed job
 			// rather than silently dropping it.
 			j := recoverJob(s.baseCtx, rec, nil, 0)
-			j.fail(wire.StateFailed, fmt.Sprintf("recovering job from journal: %v", err))
+			s.finish(j, wire.StateQueued, failure(wire.StateFailed, fmt.Sprintf("recovering job from journal: %v", err)), "")
 			s.jobs[j.ID] = j
 			finished = append(finished, finishedAt{rec.ID, time.Now()})
-			s.failed.Add(1)
-			s.journalFinish(j, "")
 			continue
 		}
 		j := recoverJob(s.baseCtx, rec, p, s.jobTimeout(rec.Problem.Options))
@@ -436,10 +434,7 @@ func (s *Server) Cancel(id string) (*Job, bool) {
 	// and streams resolve immediately; the worker that eventually drains it
 	// will see the transition and skip it. If a worker won the race and
 	// started the job, the cancelled context unwinds the engine instead.
-	if j.cancelQueued(errCancelledByClient.Error()) {
-		s.cancelled.Add(1)
-		s.journalFinish(j, "")
-	}
+	s.finish(j, wire.StateQueued, failure(wire.StateCancelled, errCancelledByClient.Error()), "")
 	return j, true
 }
 
@@ -473,37 +468,41 @@ func (s *Server) release(j *Job) {
 	}
 }
 
-// journalFinish rewrites a finished job's journal record with its terminal
-// state, result or error, and its event log (size-capped, oldest events
-// dropped behind a log_truncated marker). Best effort: the in-memory state
-// is already terminal, and a failed rewrite only means the job re-runs after
-// a restart — safe, because re-running a deterministic job reproduces the
-// same result — but the failure is counted and the job flagged degraded so
-// the weakened durability is visible.
-func (s *Server) journalFinish(j *Job, resultKey string) {
-	if s.journal == nil {
+// finish is the one terminal transition of a job, durable before it is
+// visible. It claims the transition from state from (a no-op when the job
+// has left that state or another terminator holds the claim), writes the
+// terminal journal record (event log size-capped, oldest events dropped
+// behind a log_truncated marker), and degrades the job when that write
+// fails — counting the failure and appending persistence_degraded ahead of
+// the terminal event. Only then does it publish the terminal event and
+// state and bump the outcome counter. A stream, a status read or /v1/stats
+// that shows the outcome therefore finds the job journalled or flagged
+// degraded, never neither. A failed write is not fatal: a job whose terminal
+// record is lost re-runs after a restart, which is safe because a
+// deterministic job reproduces the same result.
+func (s *Server) finish(j *Job, from string, o outcome, resultKey string) {
+	if !j.claim(from) {
 		return
 	}
-	state, started, finished, errMsg, result, events, degraded := j.journalView()
-	err := s.journal.save(journalRecord{
-		ID:          j.ID,
-		Tenant:      j.Tenant,
-		State:       state,
-		SubmittedAt: j.submitted,
-		StartedAt:   started,
-		FinishedAt:  finished,
-		Problem:     j.wireProblem,
-		Error:       errMsg,
-		Result:      result,
-		ResultKey:   resultKey,
-		Events:      truncateEvents(events, s.cfg.MaxEventLogBytes),
-		Degraded:    degraded,
-	})
-	if err != nil {
-		s.journalWriteFailures.Add(1)
-		if j.degrade("journal", err.Error()) {
-			s.degradedJobs.Add(1)
+	finished := time.Now()
+	if s.journal != nil {
+		rec := j.terminalRecord(o, finished, resultKey)
+		rec.Events = truncateEvents(rec.Events, s.cfg.MaxEventLogBytes)
+		if err := s.journal.save(rec); err != nil {
+			s.journalWriteFailures.Add(1)
+			if j.degrade("journal", err.Error()) {
+				s.degradedJobs.Add(1)
+			}
 		}
+	}
+	j.publish(o, finished)
+	switch o.state {
+	case wire.StateDone:
+		s.completed.Add(1)
+	case wire.StateCancelled:
+		s.cancelled.Add(1)
+	default:
+		s.failed.Add(1)
 	}
 }
 
@@ -523,10 +522,7 @@ func (s *Server) runJob(j *Job) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.workerPanics.Add(1)
-			if j.fail(wire.StateFailed, fmt.Sprintf("job panicked: %v\n%s", r, debug.Stack())) {
-				s.failed.Add(1)
-				s.journalFinish(j, "")
-			}
+			s.finish(j, wire.StateRunning, failure(wire.StateFailed, fmt.Sprintf("job panicked: %v\n%s", r, debug.Stack())), "")
 		}
 	}()
 	s.cfg.Faults.Panic("worker.run")
@@ -534,10 +530,7 @@ func (s *Server) runJob(j *Job) {
 	jobOpts, err := j.opts.EngineOptions()
 	if err != nil {
 		// Options were validated at admission; a failure here is a bug.
-		if j.fail(wire.StateFailed, err.Error()) {
-			s.failed.Add(1)
-			s.journalFinish(j, "")
-		}
+		s.finish(j, wire.StateRunning, failure(wire.StateFailed, err.Error()), "")
 		return
 	}
 	opts := append(append([]dlearn.Option{}, s.cfg.EngineOptions...), jobOpts...)
@@ -558,10 +551,7 @@ func (s *Server) runJob(j *Job) {
 				if data, err := observe.MarshalEvent(observe.ResultCacheHit{Key: key.String(), Bytes: size}); err == nil {
 					j.appendEvent(observe.TypeResultCacheHit, data)
 				}
-				if j.complete(res) {
-					s.completed.Add(1)
-					s.journalFinish(j, key.String())
-				}
+				s.finish(j, wire.StateRunning, success(res), key.String())
 				return
 			}
 		}
@@ -588,32 +578,17 @@ func (s *Server) runJob(j *Job) {
 			s.results.put(key, res)
 			resultKey = key.String()
 		}
-		if j.complete(res) {
-			s.completed.Add(1)
-			s.journalFinish(j, resultKey)
-		}
+		s.finish(j, wire.StateRunning, success(res), resultKey)
 	case context.Cause(j.ctx) == errCancelledByClient:
-		if j.fail(wire.StateCancelled, errCancelledByClient.Error()) {
-			s.cancelled.Add(1)
-			s.journalFinish(j, "")
-		}
+		s.finish(j, wire.StateRunning, failure(wire.StateCancelled, errCancelledByClient.Error()), "")
 	case context.Cause(j.ctx) == errServerShutdown:
 		// A hard shutdown (drain deadline expired, base context cancelled)
 		// is a server-initiated cancellation, not a job failure.
-		if j.fail(wire.StateCancelled, errServerShutdown.Error()) {
-			s.cancelled.Add(1)
-			s.journalFinish(j, "")
-		}
+		s.finish(j, wire.StateRunning, failure(wire.StateCancelled, errServerShutdown.Error()), "")
 	case errors.Is(ctx.Err(), context.DeadlineExceeded):
-		if j.fail(wire.StateFailed, fmt.Sprintf("deadline exceeded after %s", j.timeout)) {
-			s.failed.Add(1)
-			s.journalFinish(j, "")
-		}
+		s.finish(j, wire.StateRunning, failure(wire.StateFailed, fmt.Sprintf("deadline exceeded after %s", j.timeout)), "")
 	default:
-		if j.fail(wire.StateFailed, err.Error()) {
-			s.failed.Add(1)
-			s.journalFinish(j, "")
-		}
+		s.finish(j, wire.StateRunning, failure(wire.StateFailed, err.Error()), "")
 	}
 }
 

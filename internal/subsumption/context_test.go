@@ -55,16 +55,22 @@ func TestSubsumesContextCancelled(t *testing.T) {
 	}
 }
 
+// probe runs one default-options probe of c against a prepared clause.
+func probe(ctx context.Context, c logic.Clause, p *Prepared, plain bool) bool {
+	ok, _, _ := CompileCandidate(c).Probe(ctx, p, ProbeOptions{Plain: plain})
+	return ok
+}
+
 func TestPreparedSubsumesContextCancelled(t *testing.T) {
 	c, d := bigSubsumptionProblem(12)
 	ch := New(Options{MaxNodes: 10_000_000})
 	prep := ch.Prepare(d)
-	if ok, _ := prep.Subsumes(c); !ok {
+	if !probe(context.Background(), c, prep, false) {
 		t.Fatal("uncancelled prepared search should subsume")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if ok, _ := prep.SubsumesContext(ctx, c); ok {
+	if probe(ctx, c, prep, false) {
 		t.Error("cancelled prepared search must conservatively report no subsumption")
 	}
 }

@@ -74,8 +74,7 @@ func TestSharedInternerAcrossPrepareAndCompile(t *testing.T) {
 					logic.Rel("shared_rel", logic.Var("x"), logic.Var("y")),
 				)
 				prep := ch.Prepare(d)
-				cc := CompileCandidate(c)
-				if ok, _ := cc.Subsumes(t.Context(), prep); !ok {
+				if !probe(t.Context(), c, prep, false) {
 					t.Errorf("worker %d iter %d: candidate must subsume its prepared clause", w, i)
 					return
 				}
@@ -83,7 +82,7 @@ func TestSharedInternerAcrossPrepareAndCompile(t *testing.T) {
 					logic.Rel("head", logic.Var("x")),
 					logic.Rel(fmt.Sprintf("intern_missing_%d_%d", w, i), logic.Var("x")),
 				)
-				if ok, _ := CompileCandidate(miss).Subsumes(t.Context(), prep); ok {
+				if probe(t.Context(), miss, prep, false) {
 					t.Errorf("worker %d iter %d: literal absent from d must not subsume", w, i)
 					return
 				}

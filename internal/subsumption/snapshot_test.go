@@ -1,6 +1,7 @@
 package subsumption
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -30,15 +31,14 @@ func TestSnapshotRestoreBehavesIdentically(t *testing.T) {
 		orig := ch.Prepare(d)
 		restored := RestorePrepared(orig.Snapshot())
 
-		gotFull, _ := restored.Subsumes(c)
-		wantFull, _ := orig.Subsumes(c)
+		ctx := context.Background()
+		gotFull, wantFull := probe(ctx, c, restored, false), probe(ctx, c, orig, false)
 		if gotFull != wantFull {
-			t.Fatalf("case %d: restored.Subsumes=%v, original=%v\nc=%s\nd=%s", i, gotFull, wantFull, c, d)
+			t.Fatalf("case %d: restored probe=%v, original=%v\nc=%s\nd=%s", i, gotFull, wantFull, c, d)
 		}
-		gotPlain, _ := restored.SubsumesPlain(c)
-		wantPlain, _ := orig.SubsumesPlain(c)
+		gotPlain, wantPlain := probe(ctx, c, restored, true), probe(ctx, c, orig, true)
 		if gotPlain != wantPlain {
-			t.Fatalf("case %d: restored.SubsumesPlain=%v, original=%v\nc=%s\nd=%s", i, gotPlain, wantPlain, c, d)
+			t.Fatalf("case %d: restored plain probe=%v, original=%v\nc=%s\nd=%s", i, gotPlain, wantPlain, c, d)
 		}
 	}
 }
@@ -67,7 +67,7 @@ func TestRestoreClampsMaxNodes(t *testing.T) {
 	s.MaxNodes = 0
 	p := RestorePrepared(s)
 	c := logic.NewClause(logic.Rel("p", logic.Var("x")), logic.Rel("q", logic.Var("x")))
-	if ok, _ := p.Subsumes(c); !ok {
+	if !probe(context.Background(), c, p, false) {
 		t.Fatal("restored Prepared with zero MaxNodes cannot search")
 	}
 }
