@@ -45,8 +45,6 @@ func main() {
 		threads = flag.Int("threads", 16, "parallel coverage-testing workers")
 		folds   = flag.Int("folds", 0, "cross-validation folds (default: 5, or 2 with -quick)")
 		jsonDir = flag.String("json", ".", "directory for BENCH_<exp>.json timing summaries (empty disables)")
-		candPar = flag.Int("candidate-parallelism", 0, "outer-tier workers of the two-tier coverage scheduler (0 = default)")
-		planner = flag.Bool("literal-planner", true, "order θ-subsumption search literals by per-probe selectivity")
 	)
 	flag.Parse()
 
@@ -62,8 +60,6 @@ func main() {
 	if *folds > 0 {
 		opts.Folds = *folds
 	}
-	opts.CandidateParallelism = *candPar
-	opts.DisableLiteralPlanner = !*planner
 	opts.Out = os.Stdout
 
 	runners := map[string]func(context.Context, bench.Options) error{

@@ -42,14 +42,6 @@ type Options struct {
 	// performs (a TimingCollector aggregates them into a machine-readable
 	// summary); nil discards them.
 	Observer observe.Observer
-	// CandidateParallelism is the outer-tier worker count of the two-tier
-	// coverage scheduler (candidates in flight at once); zero selects
-	// coverage.DefaultCandidateParallelism.
-	CandidateParallelism int
-	// DisableLiteralPlanner turns off the θ-subsumption literal planner for
-	// every fit the experiments perform, the A/B switch for comparing
-	// planned and fixed-order search on the same experiment.
-	DisableLiteralPlanner bool
 }
 
 // DefaultOptions mirrors the paper's experimental setup.
@@ -89,7 +81,6 @@ func (o Options) learnerConfig(km, iterations, sampleSize int) core.Config {
 	}
 	cfg.Seed = o.Seed
 	cfg.Observer = o.Observer
-	cfg.Subsumption.DisablePlanner = o.DisableLiteralPlanner
 	cfg.BottomClause.KM = km
 	cfg.BottomClause.Iterations = iterations
 	cfg.BottomClause.SampleSize = sampleSize

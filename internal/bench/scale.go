@@ -124,11 +124,10 @@ func RunScale(ctx context.Context, o Options) (ScaleSummary, error) {
 
 		builder := bottomclause.NewBuilder(p.Instance, p.Target, p.MDs, p.CFDs, lcfg.BottomClause)
 		eval := coverage.NewEvaluator(coverage.Options{
-			Subsumption:          lcfg.Subsumption,
-			Repair:               lcfg.Repair,
-			Threads:              o.Threads,
-			CandidateParallelism: o.CandidateParallelism,
-			CacheShards:          lcfg.EvalCacheShards,
+			Subsumption: lcfg.Subsumption,
+			Repair:      lcfg.Repair,
+			Threads:     o.Threads,
+			CacheShards: lcfg.EvalCacheShards,
 		})
 
 		prepStart := time.Now()

@@ -58,9 +58,6 @@ type Evaluator struct {
 	repOpts repair.Options
 	threads int
 	candPar int
-	// noPlanner disables the θ-subsumption literal planner on every probe
-	// the evaluator issues (Options.Subsumption.DisablePlanner).
-	noPlanner bool
 
 	// batches counts completed candidate batches; every heatDecayInterval-th
 	// batch halves the heat of the examples it scored (see adaptiveOrder).
@@ -95,7 +92,6 @@ func NewEvaluator(opts Options) *Evaluator {
 		repOpts:    opts.Repair,
 		threads:    threads,
 		candPar:    candPar,
-		noPlanner:  opts.Subsumption.DisablePlanner,
 		repCache:   newShardedCache[[]logic.Clause](opts.CacheShards),
 		cfdCache:   newShardedCache[[]logic.Clause](opts.CacheShards),
 		stripCache: newShardedCache[logic.Clause](opts.CacheShards),

@@ -12,8 +12,7 @@ type PlanCounters struct {
 	Probes int64
 	// Planned is how many of those probes the literal planner ordered
 	// (probes rejected before the search — infeasible literals, head
-	// mismatches — carry no plan, and none are planned when the planner is
-	// disabled).
+	// mismatches — carry no plan).
 	Planned int64
 	// Nodes is the total number of backtracking-search nodes explored.
 	Nodes int64

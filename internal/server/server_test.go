@@ -545,3 +545,52 @@ func TestSubmitRejectsMalformed(t *testing.T) {
 		t.Errorf("unknown job: %d, want 404", resp.StatusCode)
 	}
 }
+
+// TestSubmitRejectsRemovedPlannerToggle pins that a job asking for the
+// removed literal-planner off switch is refused before admission, even when
+// an identical job without it has a cached result. The θ-subsumption search
+// order decides which probes exhaust their node budget, so it is part of the
+// answer; a server that accepted the toggle would hand that job a result
+// learned under a different order.
+func TestSubmitRejectsRemovedPlannerToggle(t *testing.T) {
+	s, client := newTestServer(t, Config{MaxConcurrent: 1})
+	p := serveProblem(t)
+	if _, err := client.Learn(context.Background(), p, serveOptions(), nil); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats()
+
+	// Splice the field into the options object of an otherwise valid body.
+	wp := wire.EncodeProblem(p)
+	wp.Options = serveOptions()
+	data, err := json.Marshal(wp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body map[string]any
+	if err := json.Unmarshal(data, &body); err != nil {
+		t.Fatal(err)
+	}
+	body["options"].(map[string]any)["no_literal_planner"] = true
+	if data, err = json.Marshal(body); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Post(client.BaseURL+"/v1/jobs", "application/json", strings.NewReader(string(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("no_literal_planner job: status %d, want 400", resp.StatusCode)
+	}
+	after := s.Stats()
+	if after.Submitted != before.Submitted || after.JobsHeld != before.JobsHeld {
+		t.Errorf("rejected job was admitted: submitted %d -> %d, jobs held %d -> %d",
+			before.Submitted, after.Submitted, before.JobsHeld, after.JobsHeld)
+	}
+	if after.ResultCacheHits != before.ResultCacheHits {
+		t.Errorf("rejected job was answered from the result cache (hits %d -> %d)",
+			before.ResultCacheHits, after.ResultCacheHits)
+	}
+}

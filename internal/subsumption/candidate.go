@@ -2,7 +2,6 @@ package subsumption
 
 import (
 	"context"
-	"time"
 
 	"dlearn/internal/logic"
 )
@@ -98,34 +97,22 @@ func (cc *CompiledCandidate) Clause() logic.Clause { return cc.c }
 
 // ProbeOptions configures one instrumented probe of a candidate against a
 // prepared example. The zero value is the default probe: Definition 4.4
-// semantics with the literal planner enabled.
+// semantics.
 type ProbeOptions struct {
 	// Plain ignores the repair-literal closure requirement (Checker.SubsumesPlain
 	// semantics).
 	Plain bool
-	// NoPlanner disables the literal planner: the search tries literals in
-	// the candidate's fixed compilation (clause) order. The outcome is
-	// identical either way — plans are permutations — so this is the
-	// off-switch differential testing and A/B measurement probe against.
-	NoPlanner bool
-	// Cache, when non-nil, memoizes the probe's literal plan keyed by the
-	// (candidate, example) pair so repeated probes skip the O(n²) greedy.
-	Cache *PlanCache
-	// TimePlan measures the planning time into ProbeStats.PlanNanos. Off by
-	// default: the clock calls would tax the hot path for telemetry only
-	// the bench harness reads.
-	TimePlan bool
 }
 
-// ProbeStats reports how much work one probe did, for plan telemetry and the
-// planner-vs-fixed-order differential measurements.
+// ProbeStats reports how much work one probe did, for plan telemetry.
 type ProbeStats struct {
 	// Nodes is the number of backtracking-search nodes the probe explored
 	// (zero for probes rejected before the search: head mismatch or an
 	// infeasible literal).
 	Nodes int
 	// Planned reports whether the literal planner ordered this probe's
-	// search.
+	// search, which it does for every probe that is neither infeasible nor
+	// rejected on its head.
 	Planned bool
 	// Infeasible reports a probe that bailed before searching because some
 	// literal of the candidate has no image in the example.
@@ -135,9 +122,6 @@ type ProbeStats struct {
 	// subsume" answer is conservative, not definitive, so differential
 	// comparisons must not treat it as an outcome.
 	Exhausted bool
-	// PlanNanos is the time spent computing the literal plan; measured only
-	// when ProbeOptions.TimePlan is set.
-	PlanNanos int64
 }
 
 // Probe reports whether the candidate θ-subsumes the prepared clause under
@@ -153,16 +137,15 @@ func (cc *CompiledCandidate) Probe(ctx context.Context, p *Prepared, o ProbeOpti
 	ok, theta := e.run()
 	return ok, theta, ProbeStats{
 		Nodes:      e.nodes,
-		Planned:    e.planned,
+		Planned:    !e.infeasible,
 		Infeasible: e.infeasible,
 		Exhausted:  e.nodes >= e.maxNodes,
-		PlanNanos:  e.planNanos,
 	}
 }
 
 // against instantiates the per-probe search state: candidate images of every
 // literal in the prepared clause (filtered by predicate key, arity and
-// constant positions) and the search order over them.
+// constant positions) and the planned search order over them.
 func (cc *CompiledCandidate) against(ctx context.Context, prep *Prepared, o ProbeOptions) *compiled {
 	e := &compiled{
 		c: cc.c, d: prep.d,
@@ -206,35 +189,8 @@ func (cc *CompiledCandidate) against(ctx context.Context, prep *Prepared, o Prob
 		}
 		lits = append(lits, cl)
 	}
-	if o.NoPlanner {
-		// Fixed order: the candidate's compilation (clause) order, the
-		// baseline the planner's differential battery measures against.
-		e.lits = lits
-		return e
-	}
-	// Plan the search order: selectivity-greedy over the per-probe candidate
-	// images, reusing a cached plan for a repeated (candidate, example)
-	// probe. The plan is a permutation of lits, so it can change only the
-	// node count of the search, never its outcome.
-	key := planKey{cand: cc, prep: prep}
-	var plan []int
-	if o.Cache != nil {
-		plan = o.Cache.get(key)
-	}
-	if plan == nil {
-		var start time.Time
-		if o.TimePlan {
-			start = time.Now()
-		}
-		plan = planOrder(lits, len(cc.varNames), cc.headVars)
-		if o.TimePlan {
-			e.planNanos = time.Since(start).Nanoseconds()
-		}
-		if o.Cache != nil {
-			o.Cache.put(key, plan)
-		}
-	}
-	e.lits = applyPlan(lits, plan)
-	e.planned = true
+	// Order the search selectivity-greedy over the per-probe candidate
+	// images (see planner.go).
+	e.lits = applyPlan(lits, planOrder(lits, len(cc.varNames), cc.headVars))
 	return e
 }

@@ -1,7 +1,5 @@
 package subsumption
 
-import "sync"
-
 // This file implements the per-probe literal planner: before the
 // backtracking search starts, the candidate's body literals are greedily
 // ordered by estimated selectivity over the connected frontier — at every
@@ -15,15 +13,16 @@ import "sync"
 // always eligible, so cheap fail-fast checks run as early as possible.
 //
 // θ-subsumption is conjunctive-query evaluation, and this is a statistics-
-// free greedy join order: the plan costs O(n²) over the body literals, needs
-// no catalogue (the per-probe image sizes ARE the statistics, computed from
-// the Prepared example's predicate index), and never changes the search's
-// outcome — only how many nodes it explores before finding a match or
-// exhausting the alternatives.
+// free greedy join order: the plan costs O(n²) over the body literals and
+// needs no catalogue (the per-probe image sizes ARE the statistics, computed
+// from the Prepared example's predicate index). It is the only search order.
 //
-// Plans are pure permutations: the search still visits exactly the same
-// literal set under exactly the same semantics, which is what the
-// differential test battery (fuzz, property and engine-matrix tests) pins.
+// Plans are pure permutations: the search visits the same literal set under
+// the same semantics, so a search that completes within its node budget
+// answers the same in any order, which the differential battery against the
+// brute-force reference pins. Under the budget the order is not neutral: it
+// decides which searches run out of nodes and answer a conservative "does
+// not subsume", so changing the planner can change learned definitions.
 
 // planOrder returns the search order over the per-probe literals as a
 // permutation of their indices. At every step the frontier is the set of
@@ -86,51 +85,4 @@ func applyPlan(lits []compiledLit, plan []int) []compiledLit {
 		out[k] = lits[i]
 	}
 	return out
-}
-
-// planKey identifies one (candidate, example) probe. Both sides are
-// immutable and interned for the life of a batch (the evaluator memoizes
-// CompiledCandidates by clause key; Prepared examples are stable), so
-// pointer identity is a sound cache key.
-type planKey struct {
-	cand *CompiledCandidate
-	prep *Prepared
-}
-
-// PlanCache memoizes literal plans per (candidate, example) probe. A probe's
-// plan depends only on the candidate's compilation and the prepared
-// example's predicate index, so a repeated probe of the same pair — the
-// plain and Definition 4.4 modes of one coverage test, or a re-probe in a
-// later hill-climbing step of the same batch — reuses the stored permutation
-// instead of re-running the O(n²) greedy. The cache is scoped by its owner
-// (the coverage layer attaches one to each batch-scoped probe state), which
-// bounds its size to the probes of one batch. Safe for concurrent use.
-type PlanCache struct {
-	mu sync.Mutex
-	m  map[planKey][]int
-}
-
-// NewPlanCache returns an empty plan cache.
-func NewPlanCache() *PlanCache { return &PlanCache{m: make(map[planKey][]int)} }
-
-// get returns the cached plan for the probe, or nil.
-func (pc *PlanCache) get(k planKey) []int {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return pc.m[k]
-}
-
-// put stores the plan for the probe. Plans are deterministic per key, so a
-// racing duplicate store is harmless.
-func (pc *PlanCache) put(k planKey, plan []int) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	pc.m[k] = plan
-}
-
-// Len returns the number of cached plans.
-func (pc *PlanCache) Len() int {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return len(pc.m)
 }

@@ -158,62 +158,9 @@ func TestPlanOrderDeterministic(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPlanCacheReusesPlans checks the batch-scoped memoization: a repeated
-// probe of the same (candidate, example) pair stores exactly one plan, and
-// the cached plan is the one a fresh greedy would produce.
-func TestPlanCacheReusesPlans(t *testing.T) {
-	ctx := context.Background()
-	c := logic.NewClause(
-		logic.Rel("p", logic.Var("x")),
-		logic.Rel("q", logic.Var("x"), logic.Var("y")),
-		logic.Rel("r", logic.Var("y")),
-	)
-	d := logic.NewClause(
-		logic.Rel("p", logic.Const("a")),
-		logic.Rel("q", logic.Const("a"), logic.Const("b")),
-		logic.Rel("q", logic.Const("a"), logic.Const("c")),
-		logic.Rel("r", logic.Const("b")),
-	)
-	ch := New(Options{})
-	prep := ch.Prepare(d)
-	cc := CompileCandidate(c)
-	cache := NewPlanCache()
-	for i := 0; i < 3; i++ {
-		ok, _, st := cc.Probe(ctx, prep, ProbeOptions{Cache: cache})
-		if !ok {
-			t.Fatal("probe must subsume")
-		}
-		if !st.Planned {
-			t.Fatal("probe must be planned")
-		}
-	}
-	if cache.Len() != 1 {
-		t.Fatalf("cache holds %d plans, want 1", cache.Len())
-	}
-	cached := cache.get(planKey{cand: cc, prep: prep})
-	if cached == nil {
-		t.Fatal("plan not cached under the (candidate, example) key")
-	}
-	assertPermutation(t, cached, 2)
-
-	// A second example gets its own cache entry, not a stale reuse.
-	d2 := logic.NewClause(
-		logic.Rel("p", logic.Const("a")),
-		logic.Rel("q", logic.Const("a"), logic.Const("b")),
-		logic.Rel("r", logic.Const("b")),
-	)
-	prep2 := ch.Prepare(d2)
-	if ok, _, _ := cc.Probe(ctx, prep2, ProbeOptions{Cache: cache}); !ok {
-		t.Fatal("probe of second example must subsume")
-	}
-	if cache.Len() != 2 {
-		t.Fatalf("cache holds %d plans, want 2 after a second example", cache.Len())
-	}
-}
-
 // TestProbeStatsModes pins the ProbeStats flags: planned on the default
-// path, not planned with NoPlanner or on an infeasible bail, exhausted only
-// when the node budget is hit.
+// path, not planned on an infeasible bail, exhausted only when the node
+// budget is hit.
 func TestProbeStatsModes(t *testing.T) {
 	ctx := context.Background()
 	c := logic.NewClause(logic.Rel("p", logic.Var("x")), logic.Rel("q", logic.Var("x"), logic.Var("y")))
@@ -223,9 +170,6 @@ func TestProbeStatsModes(t *testing.T) {
 
 	if _, _, st := cc.Probe(ctx, prep, ProbeOptions{}); !st.Planned || st.Infeasible || st.Exhausted || st.Nodes == 0 {
 		t.Fatalf("default probe stats: %+v", st)
-	}
-	if _, _, st := cc.Probe(ctx, prep, ProbeOptions{NoPlanner: true}); st.Planned {
-		t.Fatalf("NoPlanner probe must not be planned: %+v", st)
 	}
 
 	// Infeasible: a candidate literal with no image bails before planning.

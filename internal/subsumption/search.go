@@ -33,14 +33,8 @@ type compiled struct {
 	// infeasible marks a probe where some literal of c has no candidate
 	// image in d; the search is skipped entirely.
 	infeasible bool
-	// planned reports whether the literal planner ordered lits (false when
-	// the planner is disabled or the probe bailed as infeasible).
-	planned bool
-	// planNanos is the time spent computing the literal plan, measured only
-	// when the probe asked for it (ProbeOptions.TimePlan).
-	planNanos int64
-	maxNodes  int
-	nodes     int
+	maxNodes   int
+	nodes      int
 
 	// ctx cancels the search: the node loop polls it periodically and a
 	// cancelled search reports "does not subsume", exactly like an exhausted
@@ -144,7 +138,7 @@ type binding struct {
 // compile sets up a one-shot subsumption problem c ⊆θ d; repeated probes of
 // the same candidate should go through CompileCandidate and Probe.
 func (ch *Checker) compile(ctx context.Context, c, d logic.Clause, skipClosure bool) *compiled {
-	return CompileCandidate(c).against(ctx, ch.Prepare(d), ProbeOptions{Plain: skipClosure, NoPlanner: ch.Opts.DisablePlanner})
+	return CompileCandidate(c).against(ctx, ch.Prepare(d), ProbeOptions{Plain: skipClosure})
 }
 
 func headVarIDs(c logic.Clause, varIndex map[string]int) []int {

@@ -9,8 +9,10 @@
 // constraint-satisfaction problem (dense variable ids, per-literal candidate
 // lists filtered by constants) and runs a bounded backtracking search whose
 // literal order is chosen per probe by a statistics-free selectivity planner
-// (see planner.go); plans are permutations, so the planner changes node
-// counts, never outcomes.
+// (see planner.go). That planned order is the only search order. A plan is a
+// permutation of the literals, so a search that finishes within its node
+// budget gives the same answer in any order; under the budget, though, the
+// order decides which probes give up, so it is part of the answer.
 package subsumption
 
 import (
@@ -26,14 +28,6 @@ type Options struct {
 	// MaxNodes caps the number of search nodes explored. Zero means
 	// DefaultMaxNodes.
 	MaxNodes int
-	// DisablePlanner turns off the per-probe literal planner, so the
-	// backtracking search tries the candidate's body literals in clause
-	// order instead of selectivity order. The planner never changes a
-	// probe's outcome — plans are permutations — so this switch exists for
-	// differential testing and A/B measurement, is off (planner on) by
-	// default, and is deliberately excluded from snapshot and result
-	// fingerprints.
-	DisablePlanner bool
 }
 
 // DefaultMaxNodes is the default search budget.
