@@ -185,11 +185,8 @@ func StripCFDConnected(c logic.Clause) logic.Clause {
 			dropLit[i] = true
 		}
 	}
-	for i, l := range c.Body {
-		if !l.IsRelation() {
-			continue
-		}
-		for _, ri := range c.ConnectedRepairLiterals(i) {
+	for i, reps := range c.RepairConnectivity() {
+		for _, ri := range reps {
 			if c.Body[ri].Origin == logic.OriginCFD {
 				dropLit[i] = true
 				break

@@ -26,13 +26,17 @@ type Example struct {
 	repaired []*subsumption.Prepared
 
 	// The CFD side is prepared at most once, on first need (see cfdSide):
-	// NewExample and RestoreExample settle it up front, while the examples
-	// prediction builds defer it until a probe gets past the plain
-	// θ-subsumption test, which most probes never do.
-	ev       *Evaluator
-	cfdOnce  sync.Once
-	stripped *subsumption.Prepared
-	cfdExp   []*subsumption.Prepared
+	// NewExample settles it up front, while restored examples and the
+	// examples prediction builds defer it until a probe gets past the plain
+	// θ-subsumption test, which most probes never do. A restored example
+	// sets cfdStored and carries its stored CFD expansion in cfdClauses, so
+	// its first need prepares those clauses instead of re-expanding Ground.
+	ev         *Evaluator
+	cfdOnce    sync.Once
+	cfdStored  bool
+	cfdClauses []logic.Clause
+	stripped   *subsumption.Prepared
+	cfdExp     []*subsumption.Prepared
 
 	// heat counts the bound-closing events this example produced across the
 	// batches that scored it: misses when used as a positive, covers when
@@ -53,7 +57,11 @@ func (ex *Example) cfdSide(ctx context.Context) (*subsumption.Prepared, []*subsu
 	ex.cfdOnce.Do(func() {
 		e := ex.ev
 		ex.stripped = e.checker.Prepare(StripCFDConnected(ex.Ground))
-		for _, c := range repair.RepairedClausesContext(ctx, ex.Ground, e.cfdOptions()) {
+		clauses := ex.cfdClauses
+		if !ex.cfdStored {
+			clauses = repair.RepairedClausesContext(ctx, ex.Ground, e.cfdOptions())
+		}
+		for _, c := range clauses {
 			ex.cfdExp = append(ex.cfdExp, e.checker.Prepare(c))
 		}
 	})

@@ -10,44 +10,41 @@ import (
 )
 
 // Snapshot extracts the persistable form of a prepared example: the ground
-// bottom clause plus every preparation NewExample derived from it. Restoring
-// the snapshot skips the ground-clause repair expansions and subsumption
-// preprocessing entirely, which is what turns a ~30s cold start into a
-// sub-second warm one.
+// bottom clause plus the clauses of its CFD-only and full repair expansions.
+// Restoring the snapshot skips those expansions, which are what make a cold
+// start slow; the subsumption preparations over the clauses are cheap and
+// rebuilt on load.
 func (ex *Example) Snapshot() persist.ExampleSnapshot {
-	stripped, cfdExp := ex.cfdSide(context.Background())
-	s := persist.ExampleSnapshot{
+	_, cfdExp := ex.cfdSide(context.Background())
+	return persist.ExampleSnapshot{
 		Ground:   ex.Ground,
-		Prep:     ex.prep.Snapshot(),
-		Stripped: stripped.Snapshot(),
+		CFDExp:   preparedClauses(cfdExp),
+		Repaired: preparedClauses(ex.repaired),
 	}
-	for _, p := range cfdExp {
-		s.CFDExp = append(s.CFDExp, p.Snapshot())
-	}
-	for _, p := range ex.repaired {
-		s.Repaired = append(s.Repaired, p.Snapshot())
-	}
-	return s
 }
 
-// RestoreExample rebuilds a prepared example from its snapshot. The restored
-// example is behaviorally identical to the one NewExample would produce from
-// the same ground clause under the same options; only the work of producing
-// it is skipped.
-func (e *Evaluator) RestoreExample(s persist.ExampleSnapshot) *Example {
-	ex := &Example{
-		Ground: s.Ground,
-		hasCFD: clauseHasCFDRepairs(s.Ground),
-		prep:   subsumption.RestorePrepared(s.Prep),
+func preparedClauses(ps []*subsumption.Prepared) []logic.Clause {
+	if len(ps) == 0 {
+		return nil
 	}
-	ex.cfdOnce.Do(func() {
-		ex.stripped = subsumption.RestorePrepared(s.Stripped)
-		for _, p := range s.CFDExp {
-			ex.cfdExp = append(ex.cfdExp, subsumption.RestorePrepared(p))
-		}
-	})
-	for _, p := range s.Repaired {
-		ex.repaired = append(ex.repaired, subsumption.RestorePrepared(p))
+	out := make([]logic.Clause, len(ps))
+	for i, p := range ps {
+		out[i] = p.Clause()
+	}
+	return out
+}
+
+// RestoreExample rebuilds a prepared example from its snapshot under the
+// evaluator's options. The ground clause and the repaired clauses are
+// prepared now; the stored CFD expansion is prepared on first need, like the
+// CFD side of any other example, but never re-expanded. The restored example
+// is behaviorally identical to the one NewExample would produce from the
+// same ground clause under the same expansion caps.
+func (e *Evaluator) RestoreExample(s persist.ExampleSnapshot) *Example {
+	ex := e.lazyExample(s.Ground)
+	ex.cfdStored, ex.cfdClauses = true, s.CFDExp
+	for _, c := range s.Repaired {
+		ex.repaired = append(ex.repaired, e.checker.Prepare(c))
 	}
 	return ex
 }
@@ -95,12 +92,13 @@ type SnapshotOutcome struct {
 // back) otherwise.
 //
 // The key must be a content hash over everything that determines the
-// preparations — ground clauses AND preparation options (see
+// stored expansions — ground clauses AND expansion caps (see
 // persist.FingerprintInputs, which covers both). As defense in depth the
 // stored ground clauses are re-verified against the requested ones, so a
-// key that under-hashes the clause inputs degrades to a miss; the
-// preparation options baked into a snapshot (search budgets, expansion
-// caps) are NOT re-verified and are trusted from the key alone. Every
+// key that under-hashes the clause inputs degrades to a miss; the expansion
+// caps the stored clauses were built under are NOT re-verified and are
+// trusted from the key alone. The search budget is not stored: restored
+// examples are prepared under this evaluator's options. Every
 // detected failure mode — missing snapshot, corrupted or truncated file,
 // version mismatch, stale contents — falls back to fresh preparation.
 //

@@ -218,7 +218,7 @@ func TestLoadOrPrepareOldVersionSnapshot(t *testing.T) {
 	// Rewrite the header to the previous format version with a valid
 	// checksum, as a file written by an older binary would carry.
 	old := data[: len(data)-4 : len(data)-4]
-	old[6], old[7] = 0, 1
+	old[6], old[7] = 0, 2
 	old = binary.BigEndian.AppendUint32(old, crc32.ChecksumIEEE(old))
 	if err := os.WriteFile(path, old, 0o644); err != nil {
 		t.Fatalf("writing old-version snapshot: %v", err)

@@ -2,6 +2,7 @@ package logic
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -298,48 +299,71 @@ func (c Clause) RemoveBodyAt(i int) Clause {
 	return out
 }
 
-// ConnectedRepairLiterals returns the indices of repair literals in c that
-// are connected to the body literal at index li in the sense of Definition
-// 4.4: a repair literal V_c(x, vx) is connected to a non-repair literal L iff
+// RepairConnectivity maps the body index of every relation literal of c to
+// the sorted indices of the repair literals connected to it in the sense of
+// Definition 4.4: a repair literal V_c(x, vx) is connected to a literal L iff
 // x or vx appears in L, or it appears in the arguments of a repair literal
-// connected to L. Connectivity is tracked over terms (both variables and
+// connected to L. Relation literals with no connected repair literal are
+// left out. Connectivity is tracked over terms (both variables and
 // constants) so it also applies to ground bottom clauses.
-func (c Clause) ConnectedRepairLiterals(li int) []int {
-	target := c.Body[li]
-	if target.IsRepair() {
-		return nil
+//
+// Repair literals that share an argument are connected to the same
+// literals, so the closure is computed once for the whole clause: a
+// union-find groups the repair literals into components, and a relation
+// literal is connected to every component one of its arguments reaches.
+func (c Clause) RepairConnectivity() map[int][]int {
+	parent := make([]int, len(c.Body))
+	var find func(int) int
+	find = func(i int) int {
+		if parent[i] != i {
+			parent[i] = find(parent[i])
+		}
+		return parent[i]
 	}
-	terms := make(map[Term]bool)
-	for _, t := range target.Terms() {
-		terms[t] = true
-	}
-	// Fixed-point: keep adding repair literals whose arguments intersect the
-	// growing term set contributed by already-connected repair literals.
-	connected := make(map[int]bool)
-	changed := true
-	for changed {
-		changed = false
-		for i, l := range c.Body {
-			if !l.IsRepair() || connected[i] {
-				continue
-			}
-			for _, a := range l.Args {
-				if terms[a] {
-					connected[i] = true
-					changed = true
-					for _, b := range l.Args {
-						terms[b] = true
-					}
-					break
-				}
+	owner := make(map[Term]int) // argument term -> a repair literal carrying it
+	for i := range c.Body {
+		parent[i] = i
+		if c.Body[i].Kind != RepairLit {
+			continue
+		}
+		for _, a := range c.Body[i].Args {
+			if j, ok := owner[a]; ok {
+				parent[find(i)] = find(j)
+			} else {
+				owner[a] = i
 			}
 		}
 	}
-	out := make([]int, 0, len(connected))
-	for i := range connected {
-		out = append(out, i)
+	members := make(map[int][]int) // component root -> repair literals, ascending
+	for i := range c.Body {
+		if c.Body[i].Kind == RepairLit {
+			r := find(i)
+			members[r] = append(members[r], i)
+		}
 	}
-	sort.Ints(out)
+	out := make(map[int][]int)
+	for i := range c.Body {
+		if c.Body[i].Kind != RelationLit {
+			continue
+		}
+		var roots, conn []int
+		for _, a := range c.Body[i].Args {
+			j, ok := owner[a]
+			if !ok {
+				continue
+			}
+			if r := find(j); !slices.Contains(roots, r) {
+				roots = append(roots, r)
+				conn = append(conn, members[r]...)
+			}
+		}
+		if len(roots) > 1 {
+			slices.Sort(conn) // components are disjoint: no duplicates
+		}
+		if len(conn) > 0 {
+			out[i] = conn
+		}
+	}
 	return out
 }
 

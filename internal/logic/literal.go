@@ -228,10 +228,6 @@ func (l Literal) Rename(s Substitution) Literal {
 	return c
 }
 
-// Terms returns the argument terms of the literal (not including condition
-// terms of repair literals).
-func (l Literal) Terms() []Term { return l.Args }
-
 // AllTerms returns argument terms plus condition terms for repair literals.
 func (l Literal) AllTerms() []Term {
 	if len(l.Cond) == 0 {

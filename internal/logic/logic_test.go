@@ -229,12 +229,12 @@ func TestClauseConnectedRepairLiterals(t *testing.T) {
 		Repair("md", OriginMD, Var("vy"), Var("wy")), // 2: connected transitively via vy
 		Repair("md", OriginMD, Var("z"), Var("vz")),  // 3: not connected
 	)
-	got := c.ConnectedRepairLiterals(0)
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
+	conn := c.RepairConnectivity()
+	if got := conn[0]; len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("connected repair literals = %v, want [1 2]", got)
 	}
-	if c.ConnectedRepairLiterals(1) != nil {
-		t.Fatal("repair literal itself should return nil")
+	if len(conn) != 1 {
+		t.Fatalf("connectivity has entries %v, want only the relation literal 0", conn)
 	}
 }
 

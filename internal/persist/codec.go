@@ -6,10 +6,9 @@ import (
 	"hash/crc32"
 
 	"dlearn/internal/logic"
-	"dlearn/internal/subsumption"
 )
 
-// The snapshot wire format, version 2:
+// The snapshot wire format, version 3:
 //
 //	magic   "DLSNAP"            6 bytes
 //	version uint16 big-endian   2 bytes
@@ -20,16 +19,18 @@ import (
 // Every string of the payload — term names, predicates, repair groups — is
 // interned into the string table (in first-encounter order of the payload
 // walk) and referenced by uvarint ID. Terms pack the variable flag into the
-// low bit of the ID: uvarint(id<<1 | var). Version 1 wrote every string
-// inline at every occurrence; the table writes each distinct value once,
-// which is where the bulk of the snapshot-size reduction comes from (ground
-// bottom clauses repeat the same constants across examples relentlessly).
+// low bit of the ID: uvarint(id<<1 | var). Ground bottom clauses repeat the
+// same constants across examples relentlessly, so the table writes each
+// distinct value once.
 //
 // The payload is a deterministic depth-first serialization of an ExampleSet:
-// integers as (u)varints, strings as table IDs, slices count-prefixed.
-// Determinism matters beyond aesthetics: encode(decode(encode(x))) is
-// byte-identical, so snapshot files can be compared and deduplicated by
-// content, and the round-trip property is testable exactly.
+// per example its ground clause, its CFD-only expansion clauses and its full
+// repaired clauses; integers as uvarints, strings as table IDs, slices
+// count-prefixed. Only clauses are stored: the subsumption indexes over them
+// are cheap to rebuild on load, the repair expansions are not. Determinism
+// matters beyond aesthetics: encode(decode(encode(x))) is byte-identical, so
+// snapshot files can be compared and deduplicated by content, and the
+// round-trip property is testable exactly.
 //
 // Version bumps are cheap — Decode rejects unknown versions and the caller
 // falls back to a fresh preparation — so the format can evolve without
@@ -37,20 +38,17 @@ import (
 
 const (
 	codecMagic   = "DLSNAP"
-	codecVersion = 2
+	codecVersion = 3
 )
 
 // ExampleSnapshot is the persistable form of one prepared coverage example:
-// its ground bottom clause plus every preparation derived from it (the
-// direct and CFD-stripped subsumption preparations, the CFD-only expansion
-// and the full repair expansion). It mirrors coverage.Example, which
-// converts to and from this form.
+// its ground bottom clause, the clauses of its CFD-only repair expansion and
+// the clauses of its full repair expansion. coverage.Example converts to and
+// from this form, rebuilding the subsumption preparations on load.
 type ExampleSnapshot struct {
 	Ground   logic.Clause
-	Prep     subsumption.PreparedSnapshot
-	Stripped subsumption.PreparedSnapshot
-	CFDExp   []subsumption.PreparedSnapshot
-	Repaired []subsumption.PreparedSnapshot
+	CFDExp   []logic.Clause
+	Repaired []logic.Clause
 }
 
 // ExampleSet is a whole training set of prepared examples — what one
@@ -87,7 +85,7 @@ func EncodeExampleSet(set ExampleSet) []byte {
 // DecodeExampleSet parses a snapshot, verifying the magic, version and
 // checksum first so a truncated or corrupted file — or a snapshot written by
 // an older codec — fails fast with an error instead of yielding garbage
-// preparations; the caller falls back to a fresh preparation and writes the
+// clauses; the caller falls back to a fresh preparation and writes the
 // current format back. Strings are shared through the table and literals are
 // interned during decoding: structurally identical literals across all
 // examples of the set share one backing structure, which is what lets
@@ -130,7 +128,6 @@ type encoder struct {
 }
 
 func (e *encoder) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *encoder) varint(v int64)   { e.buf = binary.AppendVarint(e.buf, v) }
 
 // strID interns a string into the table, assigning the next dense ID.
 func (e *encoder) strID(s string) uint32 {
@@ -190,42 +187,17 @@ func (e *encoder) clause(c logic.Clause) {
 	}
 }
 
-func (e *encoder) termPairs(ps [][2]logic.Term) {
-	e.uvarint(uint64(len(ps)))
-	for _, p := range ps {
-		e.term(p[0])
-		e.term(p[1])
-	}
-}
-
-func (e *encoder) prepared(p subsumption.PreparedSnapshot) {
-	e.clause(p.Clause)
-	e.varint(int64(p.MaxNodes))
-	e.termPairs(p.EqRoots)
-	e.termPairs(p.SimPairs)
-	e.uvarint(uint64(len(p.Connected)))
-	for _, c := range p.Connected {
-		e.uvarint(uint64(c.Literal))
-		e.uvarint(uint64(len(c.Repairs)))
-		for _, r := range c.Repairs {
-			e.uvarint(uint64(r))
-		}
-	}
-}
-
-func (e *encoder) preparedList(ps []subsumption.PreparedSnapshot) {
-	e.uvarint(uint64(len(ps)))
-	for _, p := range ps {
-		e.prepared(p)
+func (e *encoder) clauseList(cs []logic.Clause) {
+	e.uvarint(uint64(len(cs)))
+	for _, c := range cs {
+		e.clause(c)
 	}
 }
 
 func (e *encoder) example(ex ExampleSnapshot) {
 	e.clause(ex.Ground)
-	e.prepared(ex.Prep)
-	e.prepared(ex.Stripped)
-	e.preparedList(ex.CFDExp)
-	e.preparedList(ex.Repaired)
+	e.clauseList(ex.CFDExp)
+	e.clauseList(ex.Repaired)
 }
 
 func (e *encoder) exampleList(exs []ExampleSnapshot) {
@@ -234,11 +206,6 @@ func (e *encoder) exampleList(exs []ExampleSnapshot) {
 		e.example(ex)
 	}
 }
-
-// maxCount caps every decoded collection length. The checksum already rules
-// out random corruption; the cap keeps a hand-crafted hostile snapshot from
-// forcing a huge allocation before the payload runs out.
-const maxCount = 1 << 24
 
 // decoder reads the payload sequentially, latching the first error; every
 // read after an error is a cheap no-op, so call sites stay unconditional.
@@ -269,24 +236,23 @@ func (d *decoder) uvarint() uint64 {
 	return v
 }
 
-func (d *decoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.data[d.off:])
-	if n <= 0 {
-		d.fail("truncated varint at offset %d", d.off)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-// count reads a collection length and bounds it.
+// count reads a collection length and bounds it by the bytes left: every
+// element takes at least one byte, so a larger count can only come from a
+// hostile snapshot, and is rejected before it reaches make.
 func (d *decoder) count() int {
 	v := d.uvarint()
-	if v > maxCount {
-		d.fail("implausible collection length %d", v)
+	if left := uint64(len(d.data) - d.off); v > left {
+		d.fail("collection length %d exceeds the %d bytes left", v, left)
+		return 0
+	}
+	return int(v)
+}
+
+// enum reads a uvarint enumeration value and rejects anything above max.
+func (d *decoder) enum(max int, what string) int {
+	v := d.uvarint()
+	if v > uint64(max) {
+		d.fail("unknown %s %d", what, v)
 		return 0
 	}
 	return int(v)
@@ -354,7 +320,7 @@ func (d *decoder) term() logic.Term {
 func (d *decoder) literal() logic.Literal {
 	start := d.off
 	var l logic.Literal
-	l.Kind = logic.Kind(d.uvarint())
+	l.Kind = logic.Kind(d.enum(int(logic.RepairLit), "literal kind"))
 	l.Pred = d.str()
 	if n := d.count(); n > 0 {
 		l.Args = make([]logic.Term, n)
@@ -365,12 +331,17 @@ func (d *decoder) literal() logic.Literal {
 	if n := d.count(); n > 0 {
 		l.Cond = make([]logic.Condition, n)
 		for i := range l.Cond {
-			l.Cond[i] = logic.Condition{Op: logic.CondOp(d.uvarint()), L: d.term(), R: d.term()}
+			l.Cond[i] = logic.Condition{Op: logic.CondOp(d.enum(int(logic.CondSim), "condition operator")), L: d.term(), R: d.term()}
 		}
 	}
-	l.Origin = logic.RepairOrigin(d.uvarint())
+	l.Origin = logic.RepairOrigin(d.enum(int(logic.OriginCFD), "repair origin"))
 	l.Group = d.str()
 	l.Induced = d.boolean()
+	// Built-in and repair literals have exactly two arguments; subsumption
+	// preparation indexes both, so any other shape is rejected here.
+	if l.Kind != logic.RelationLit && len(l.Args) != 2 {
+		d.fail("%s literal with %d arguments at offset %d", l.Kind, len(l.Args), start)
+	}
 	if d.err != nil {
 		return l
 	}
@@ -392,47 +363,14 @@ func (d *decoder) clause() logic.Clause {
 	return c
 }
 
-func (d *decoder) termPairs() [][2]logic.Term {
+func (d *decoder) clauseList() []logic.Clause {
 	n := d.count()
 	if n == 0 {
 		return nil
 	}
-	out := make([][2]logic.Term, n)
+	out := make([]logic.Clause, n)
 	for i := range out {
-		out[i] = [2]logic.Term{d.term(), d.term()}
-	}
-	return out
-}
-
-func (d *decoder) prepared() subsumption.PreparedSnapshot {
-	var p subsumption.PreparedSnapshot
-	p.Clause = d.clause()
-	p.MaxNodes = int(d.varint())
-	p.EqRoots = d.termPairs()
-	p.SimPairs = d.termPairs()
-	if n := d.count(); n > 0 {
-		p.Connected = make([]subsumption.ConnectedEntry, n)
-		for i := range p.Connected {
-			p.Connected[i].Literal = int(d.uvarint())
-			if m := d.count(); m > 0 {
-				p.Connected[i].Repairs = make([]int, m)
-				for j := range p.Connected[i].Repairs {
-					p.Connected[i].Repairs[j] = int(d.uvarint())
-				}
-			}
-		}
-	}
-	return p
-}
-
-func (d *decoder) preparedList() []subsumption.PreparedSnapshot {
-	n := d.count()
-	if n == 0 {
-		return nil
-	}
-	out := make([]subsumption.PreparedSnapshot, n)
-	for i := range out {
-		out[i] = d.prepared()
+		out[i] = d.clause()
 	}
 	return out
 }
@@ -440,10 +378,8 @@ func (d *decoder) preparedList() []subsumption.PreparedSnapshot {
 func (d *decoder) example() ExampleSnapshot {
 	var ex ExampleSnapshot
 	ex.Ground = d.clause()
-	ex.Prep = d.prepared()
-	ex.Stripped = d.prepared()
-	ex.CFDExp = d.preparedList()
-	ex.Repaired = d.preparedList()
+	ex.CFDExp = d.clauseList()
+	ex.Repaired = d.clauseList()
 	return ex
 }
 
@@ -462,9 +398,9 @@ func (d *decoder) exampleList() []ExampleSnapshot {
 // interner dedupes decoded literals for the lifetime of one DecodeExampleSet
 // call, keyed by their encoded bytes. Ground bottom clauses of different
 // examples share most of their literals (the same database tuples reached
-// from different seeds), and every Prepared of one example repeats the
-// literals of its expansions, so interning collapses the dominant share of
-// decoded allocations. Strings are already shared through the table.
+// from different seeds), and the expansion clauses of one example repeat
+// most literals of its ground clause, so interning collapses the dominant
+// share of decoded allocations. Strings are already shared through the table.
 type interner struct {
 	literals map[string]logic.Literal
 }

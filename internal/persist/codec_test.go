@@ -6,6 +6,8 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -19,8 +21,8 @@ import (
 // genGround builds a ground bottom clause with the full literal zoo the
 // codec must carry: relation literals, restriction literals (=, ≠, ≈,
 // including induced equalities), and MD and CFD repair literals with
-// conditions and groups, so preparations have non-trivial equality
-// closures, similarity pairs, connectivity and repair expansions.
+// conditions and groups, so examples have non-trivial CFD and repair
+// expansions.
 func genGround(rng *rand.Rand) logic.Clause {
 	consts := []string{"a", "b", "c", "d", "e"}
 	pick := func() logic.Term { return logic.Const(consts[rng.Intn(len(consts))]) }
@@ -74,7 +76,7 @@ func genCandidate(rng *rand.Rand) logic.Clause {
 	return logic.NewClause(logic.Rel("highGrossing", x), body...)
 }
 
-func genSet(t *testing.T, rng *rand.Rand, e *coverage.Evaluator, nPos, nNeg int) ([]*coverage.Example, []*coverage.Example, persist.ExampleSet) {
+func genSet(t testing.TB, rng *rand.Rand, e *coverage.Evaluator, nPos, nNeg int) ([]*coverage.Example, []*coverage.Example, persist.ExampleSet) {
 	t.Helper()
 	ctx := context.Background()
 	grounds := func(n int) []logic.Clause {
@@ -123,7 +125,7 @@ func TestRoundTripByteEquality(t *testing.T) {
 	}
 }
 
-// TestDecodedExamplesBehaveIdentically cross-checks restored preparations
+// TestDecodedExamplesBehaveIdentically cross-checks restored examples
 // against fresh ones, FuzzSubsumes-style: every coverage answer over the
 // decoded examples must match the answer over the originals.
 func TestDecodedExamplesBehaveIdentically(t *testing.T) {
@@ -216,7 +218,7 @@ func TestEmptySetRoundTrips(t *testing.T) {
 	}
 }
 
-// TestOldVersionSnapshotRejected pins the v1 → v2 upgrade path: a snapshot
+// TestOldVersionSnapshotRejected pins the v2 → v3 upgrade path: a snapshot
 // carrying the previous format version with a valid checksum is rejected by
 // the version gate specifically — not the checksum — so callers fall back to
 // a fresh preparation and write the current format back.
@@ -226,13 +228,106 @@ func TestOldVersionSnapshotRejected(t *testing.T) {
 	_, _, set := genSet(t, rng, e, 1, 1)
 	data := persist.EncodeExampleSet(set)
 	data = data[:len(data)-4]
-	data[6], data[7] = 0, 1 // version 1, big-endian
-	data = binary.BigEndian.AppendUint32(data, crc32.ChecksumIEEE(data))
+	data[6], data[7] = 0, 2 // version 2, big-endian
+	data = reseal(data)
 	_, err := persist.DecodeExampleSet(data)
 	if err == nil {
-		t.Fatal("version-1 snapshot went undetected")
+		t.Fatal("version-2 snapshot went undetected")
 	}
-	if !strings.Contains(err.Error(), "version 1") {
-		t.Fatalf("want a version error naming version 1, got %v", err)
+	if !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("want a version error naming version 2, got %v", err)
 	}
+}
+
+// reseal appends a valid checksum to a snapshot body, so a test can hand the
+// decoder any payload past the CRC check.
+func reseal(body []byte) []byte {
+	return binary.BigEndian.AppendUint32(body[:len(body):len(body)], crc32.ChecksumIEEE(body))
+}
+
+// TestHostileCountRejectedWithoutAllocation builds a 26-byte snapshot with a
+// valid checksum whose one ground clause claims 2^20 body literals. The
+// decoder must reject the count against the bytes left before it allocates
+// for it.
+func TestHostileCountRejectedWithoutAllocation(t *testing.T) {
+	data := persist.EncodeExampleSet(persist.ExampleSet{})[:8] // magic, version
+	data = append(data, 1, 1, 'p')                             // string table: one entry, "p"
+	data = append(data, 1)                                     // one positive example
+	// Head literal: kind, pred id, no args, no conditions, origin, group id,
+	// induced.
+	data = append(data, 0, 0, 0, 0, 0, 0, 0)
+	data = binary.AppendUvarint(data, 1<<20) // body literal count
+	data = reseal(data)
+	if len(data) != 26 {
+		t.Fatalf("hostile snapshot is %d bytes, want 26", len(data))
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := persist.DecodeExampleSet(data)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a body count beyond the payload decoded")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("decoding the hostile snapshot allocated %d bytes", grew)
+	}
+}
+
+// TestMalformedLiteralRejected checks that literals a checksummed snapshot
+// can carry but subsumption preparation cannot index — unknown kinds,
+// origins or condition operators, and built-in or repair literals without
+// exactly two arguments — fail to decode, so the caller takes a miss
+// instead of panicking later.
+func TestMalformedLiteralRejected(t *testing.T) {
+	a, b, c := logic.Const("a"), logic.Const("b"), logic.Const("c")
+	cases := map[string]logic.Literal{
+		"unknown kind":       {Kind: logic.RepairLit + 1, Args: []logic.Term{a, b}},
+		"unknown origin":     {Kind: logic.RepairLit, Args: []logic.Term{a, b}, Origin: logic.OriginCFD + 1},
+		"unknown operator":   {Kind: logic.RepairLit, Args: []logic.Term{a, b}, Origin: logic.OriginMD, Cond: []logic.Condition{{Op: logic.CondSim + 1, L: a, R: b}}},
+		"unary equality":     {Kind: logic.EqualityLit, Args: []logic.Term{a}},
+		"ternary similarity": {Kind: logic.SimilarityLit, Args: []logic.Term{a, b, c}},
+		"nullary repair":     {Kind: logic.RepairLit, Origin: logic.OriginMD},
+	}
+	for name, bad := range cases {
+		ground := logic.NewClause(logic.Rel("highGrossing", a), logic.Rel("movies", a, b), bad)
+		for _, set := range []persist.ExampleSet{
+			{Pos: []persist.ExampleSnapshot{{Ground: ground}}},
+			{Neg: []persist.ExampleSnapshot{{Ground: logic.NewClause(logic.Rel("highGrossing", a)), Repaired: []logic.Clause{ground}}}},
+		} {
+			if _, err := persist.DecodeExampleSet(persist.EncodeExampleSet(set)); err == nil {
+				t.Errorf("%s: malformed literal decoded", name)
+			}
+		}
+	}
+}
+
+// FuzzDecodeExampleSet feeds mutated snapshots to the decoder with a
+// recomputed checksum, so mutations reach the payload. Decoding must never
+// panic; a set that decodes must re-encode to an equal set, and restoring
+// its examples — CFD side included — must not panic either.
+func FuzzDecodeExampleSet(f *testing.F) {
+	_, _, set := genSet(f, rand.New(rand.NewSource(6)), newEvaluator(), 2, 1)
+	f.Add(persist.EncodeExampleSet(set))
+	f.Add(persist.EncodeExampleSet(persist.ExampleSet{}))
+	e := newEvaluator()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= 4 {
+			data = reseal(data[:len(data)-4])
+		}
+		set, err := persist.DecodeExampleSet(data)
+		if err != nil {
+			return
+		}
+		again, err := persist.DecodeExampleSet(persist.EncodeExampleSet(set))
+		if err != nil {
+			t.Fatalf("re-encoded set failed to decode: %v", err)
+		}
+		if !reflect.DeepEqual(set, again) {
+			t.Fatal("re-encoded set decoded differently")
+		}
+		for _, s := range append(set.Pos, set.Neg...) {
+			e.RestoreExample(s).Snapshot()
+		}
+	})
 }

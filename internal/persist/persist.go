@@ -12,10 +12,11 @@
 //     mutation of the inputs changes the key, so a stale database or a
 //     changed constraint set can never serve a wrong cache hit.
 //   - A versioned binary codec (codec.go) for snapshots of prepared examples:
-//     the ground bottom clause plus the frozen subsumption preparations
-//     (equality closures, repair connectivity) and every CFD/repair
-//     expansion. Decoding interns terms and literals so identical structures
-//     are shared across the restored preparations.
+//     per example the ground bottom clause and the clauses of its CFD-only
+//     and full repair expansions — the expensive part of a preparation. The
+//     subsumption indexes over those clauses are cheap and are rebuilt on
+//     load. Decoding interns terms and literals so identical structures are
+//     shared across the restored examples.
 //   - A Store interface with a filesystem implementation (DirStore) that
 //     writes one snapshot file per key.
 //
@@ -143,23 +144,8 @@ func (s *DirStore) Save(key Key, data []byte) error {
 	if err := os.MkdirAll(s.dir, 0o755); err != nil {
 		return fmt.Errorf("persist: creating snapshot dir: %w", err)
 	}
-	tmp, err := os.CreateTemp(s.dir, key.String()+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("persist: creating snapshot temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
+	if err := WriteFileAtomic(s.path(key), data); err != nil {
 		return fmt.Errorf("persist: writing snapshot %s: %w", key, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("persist: writing snapshot %s: %w", key, err)
-	}
-	if err := os.Rename(tmpName, s.path(key)); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("persist: committing snapshot %s: %w", key, err)
 	}
 	if s.maxBytes > 0 {
 		// A failed sweep must not fail the write: the snapshot itself landed.
@@ -169,6 +155,28 @@ func (s *DirStore) Save(key Key, data []byte) error {
 		_, _ = s.compact(s.path(key))
 	}
 	return nil
+}
+
+// WriteFileAtomic writes data to path through a temp file in the same
+// directory ("<name>.tmp-*") and a rename over path, so a crashed or
+// concurrent writer leaves at worst an orphaned temp file, never a torn file
+// under path. The temp file is removed when any step fails.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // CompactStats reports what a sweep removed and what remains.

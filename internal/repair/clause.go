@@ -435,28 +435,3 @@ func RepairedClausesContext(ctx context.Context, c logic.Clause, opts Options) [
 	}
 	return out
 }
-
-// RepairedDefinitions expands every clause of a definition into its repaired
-// clauses. The result groups the repaired clauses per original clause; a
-// repaired definition (Section 3.2) picks exactly one element from each
-// group.
-func RepairedDefinitions(d *logic.Definition, opts Options) [][]logic.Clause {
-	out := make([][]logic.Clause, 0, len(d.Clauses))
-	for _, c := range d.Clauses {
-		out = append(out, RepairedClauses(c, opts))
-	}
-	return out
-}
-
-// CountRepairedDefinitions returns the number of repaired definitions the
-// definition represents (the product of per-clause repaired-clause counts).
-func CountRepairedDefinitions(d *logic.Definition, opts Options) int {
-	if len(d.Clauses) == 0 {
-		return 0
-	}
-	total := 1
-	for _, rc := range RepairedDefinitions(d, opts) {
-		total *= len(rc)
-	}
-	return total
-}

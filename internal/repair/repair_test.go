@@ -219,23 +219,6 @@ func TestRepairedClausesFalseConditionDropsGroup(t *testing.T) {
 	}
 }
 
-func TestRepairedDefinitionsAndCount(t *testing.T) {
-	def := &logic.Definition{Target: "T"}
-	def.Add(example33Clause(), logic.ClauseStats{})
-	def.Add(logic.NewClause(logic.Rel("T", logic.Var("x")), logic.Rel("R", logic.Var("x"))), logic.ClauseStats{})
-	groups := RepairedDefinitions(def, Options{})
-	if len(groups) != 2 || len(groups[0]) != 2 || len(groups[1]) != 1 {
-		t.Fatalf("unexpected repaired definition shape: %d, %d, %d", len(groups), len(groups[0]), len(groups[1]))
-	}
-	if got := CountRepairedDefinitions(def, Options{}); got != 2 {
-		t.Errorf("CountRepairedDefinitions = %d, want 2", got)
-	}
-	empty := &logic.Definition{Target: "T"}
-	if CountRepairedDefinitions(empty, Options{}) != 0 {
-		t.Error("empty definition should have 0 repaired definitions")
-	}
-}
-
 func TestRepairedClausesRespectsCap(t *testing.T) {
 	got := RepairedClauses(example33Clause(), Options{MaxClauses: 1})
 	if len(got) != 1 {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"dlearn/internal/fault"
+	"dlearn/internal/persist"
 	"dlearn/internal/server/wire"
 )
 
@@ -81,9 +82,8 @@ func (jl *journal) path(id string) string {
 	return filepath.Join(jl.dir, id+jobFileExt)
 }
 
-// save writes a record atomically: temp file in the same directory, then
-// rename over the final name, so a crash can leave at worst a stale temp
-// file, never a torn record.
+// save writes a record atomically (persist.WriteFileAtomic), so a crash can
+// leave at worst a stale temp file, never a torn record.
 func (jl *journal) save(rec journalRecord) error {
 	data, err := json.Marshal(rec)
 	if err != nil {
@@ -101,23 +101,8 @@ func (jl *journal) save(rec journalRecord) error {
 		}
 		return f.Err()
 	}
-	tmp, err := os.CreateTemp(jl.dir, rec.ID+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("server: creating journal temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
+	if err := persist.WriteFileAtomic(jl.path(rec.ID), data); err != nil {
 		return fmt.Errorf("server: writing journal record %s: %w", rec.ID, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("server: writing journal record %s: %w", rec.ID, err)
-	}
-	if err := os.Rename(tmpName, jl.path(rec.ID)); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("server: committing journal record %s: %w", rec.ID, err)
 	}
 	return nil
 }

@@ -2,6 +2,8 @@ package subsumption
 
 import (
 	"context"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"dlearn/internal/logic"
@@ -145,13 +147,85 @@ func bruteClosureOK(d logic.Clause, mapped map[int]bool) bool {
 		if !d.Body[di].IsRelation() {
 			continue
 		}
-		for _, ri := range d.ConnectedRepairLiterals(di) {
+		for _, ri := range bruteConnected(d, di) {
 			if !mapped[ri] {
 				return false
 			}
 		}
 	}
 	return true
+}
+
+// bruteConnected computes the repair literals connected to body literal li
+// straight from Definition 4.4, as a fixpoint: starting from the literal's
+// terms, keep adding repair literals whose arguments meet the term set, and
+// their arguments with them. It returns the indices in ascending order.
+func bruteConnected(d logic.Clause, li int) []int {
+	terms := make(map[logic.Term]bool)
+	for _, t := range d.Body[li].Args {
+		terms[t] = true
+	}
+	connected := make([]bool, len(d.Body))
+	for changed := true; changed; {
+		changed = false
+		for i, l := range d.Body {
+			if !l.IsRepair() || connected[i] || !slices.ContainsFunc(l.Args, func(a logic.Term) bool { return terms[a] }) {
+				continue
+			}
+			connected[i], changed = true, true
+			for _, a := range l.Args {
+				terms[a] = true
+			}
+		}
+	}
+	var out []int
+	for i, ok := range connected {
+		if ok {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// TestRepairConnectivityMatchesFixpoint checks the union-find connectivity
+// Prepare uses against the definitional fixpoint, over random clauses whose
+// repair literals chain through shared terms, touch relation literals
+// directly or stay apart.
+func TestRepairConnectivityMatchesFixpoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	term := func() logic.Term {
+		if rng.Intn(2) == 0 {
+			return logic.Const(string(rune('a' + rng.Intn(6))))
+		}
+		return logic.Var(string(rune('u' + rng.Intn(6))))
+	}
+	for n := 0; n < 500; n++ {
+		var body []logic.Literal
+		for i := 2 + rng.Intn(8); i > 0; i-- {
+			switch rng.Intn(4) {
+			case 0, 1:
+				body = append(body, logic.Rel("r", term(), term()))
+			case 2:
+				body = append(body, logic.Repair("md", logic.OriginMD, term(), term()))
+			default:
+				body = append(body, logic.Eq(term(), term()))
+			}
+		}
+		d := logic.NewClause(logic.Rel("p", term()), body...)
+		conn := d.RepairConnectivity()
+		for i, l := range d.Body {
+			want := bruteConnected(d, i)
+			if !l.IsRelation() || len(want) == 0 {
+				if got, ok := conn[i]; ok {
+					t.Fatalf("case %d: unexpected entry %v for literal %d\nd=%s", n, got, i, d)
+				}
+				continue
+			}
+			if !slices.Equal(conn[i], want) {
+				t.Fatalf("case %d literal %d: connectivity %v, fixpoint %v\nd=%s", n, i, conn[i], want, d)
+			}
+		}
+	}
 }
 
 // checkAgainstReference is the differential battery: the optimized search —

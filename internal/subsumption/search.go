@@ -75,7 +75,7 @@ func (ch *Checker) Prepare(d logic.Clause) *Prepared {
 		d:         d,
 		byPred:    make(map[uint32][]int),
 		simPairs:  make(map[[2]logic.Term]bool),
-		connected: make(map[int][]int),
+		connected: d.RepairConnectivity(),
 		maxNodes:  ch.Opts.maxNodes(),
 	}
 	eq := newUnionFind()
@@ -97,14 +97,6 @@ func (ch *Checker) Prepare(d logic.Clause) *Prepared {
 		}
 	}
 	p.eq = eq.freeze()
-	// Only relation literals are consulted by the closure check (mapped
-	// repair literals are skipped), so precomputing these makes the check
-	// read-only and the Prepared safely shareable.
-	for i, l := range d.Body {
-		if l.IsRelation() {
-			p.connected[i] = d.ConnectedRepairLiterals(i)
-		}
-	}
 	return p
 }
 
